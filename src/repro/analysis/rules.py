@@ -15,7 +15,7 @@ machine check that covers the Figure 9/10 cells the dynamic verifier skips.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 from ..circuits.dag import DagCircuit, DagNode
 from ..hardware.target import Target
@@ -57,7 +57,7 @@ class LintContext:
             node = node.next_node
             guard += 1
         #: Wires (qubits and encoded clbits) each reachable node touches.
-        self.wires_of: Dict[DagNode, List[int]] = {
+        self.wires_of: Dict[DagNode, Sequence[int]] = {
             n: DagCircuit._wires_of(n.instruction) for n in self.linear
         }
 

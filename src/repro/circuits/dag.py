@@ -264,10 +264,10 @@ class DagCircuit:
     # Wire helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _wires_of(instruction: Instruction) -> List[int]:
-        wires = list(instruction.qubits)
-        wires.extend(_clbit_wire(c) for c in instruction.clbits)
-        return wires
+    def _wires_of(instruction: Instruction) -> Sequence[int]:
+        if not instruction.clbits:
+            return instruction.qubits
+        return instruction.qubits + tuple(_clbit_wire(c) for c in instruction.clbits)
 
     def wire_front(self, qubit: int) -> Optional[DagNode]:
         """First instruction on a wire (``qubit`` may also be a clbit wire key)."""

@@ -13,9 +13,10 @@ to verify decompositions.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -133,16 +134,20 @@ class Gate:
         raise GateError(f"no inverse rule for gate {self.name!r}")
 
     def is_identity(self, tol: float = 1e-12) -> bool:
-        """Whether the gate is (numerically) the identity operation."""
-        if not self.is_unitary:
-            return False
-        mat = self.matrix()
-        dim = mat.shape[0]
-        # Compare up to global phase.
-        phase = mat[0, 0]
-        if abs(phase) < tol:
-            return False
-        return bool(np.allclose(mat / phase, np.eye(dim), atol=tol))
+        """Whether the gate is (numerically) the identity operation.
+
+        The test is up to global phase: with ``m`` the matrix and ``m₀₀`` its
+        top-left entry, the gate is the identity when ``|m₀₀| ≥ tol`` and every
+        entry satisfies ``|m/m₀₀ − I| ≤ tol``, plus ``1e-5`` on the diagonal
+        (:data:`IDENTITY_DIAGONAL_RTOL`).
+
+        One-qubit gates are answered by the scalar
+        :func:`unitary_2x2_is_identity` behind a bounded memo keyed by
+        ``(name, params, tol)``; wider gates use ``np.allclose`` directly.
+        """
+        if self.name in ONE_QUBIT_GATE_NAMES:
+            return _one_qubit_is_identity(self.name, self.params, tol)
+        return self.is_unitary and _allclose_to_identity(self.matrix(), tol)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.params:
@@ -272,12 +277,100 @@ _MATRIX_BUILDERS: Dict[str, Callable[..., np.ndarray]] = {
     "cswap": _cswap_matrix,
 }
 
+#: Qubit count of every gate whose matrix is wider than 2x2.
+_MULTI_QUBIT_ARITY = {"cx": 2, "cz": 2, "cy": 2, "ch": 2, "cp": 2, "crz": 2, "rzz": 2,
+                      "swap": 2, "ccx": 3, "ccz": 3, "cswap": 3}
+
 #: Names of every gate with a known unitary matrix.
 KNOWN_GATE_NAMES = frozenset(_MATRIX_BUILDERS) | NON_UNITARY_NAMES
+
+#: Names of the gates with a 2x2 unitary matrix.
+ONE_QUBIT_GATE_NAMES = frozenset(_MATRIX_BUILDERS) - frozenset(_MULTI_QUBIT_ARITY)
 
 
 def gate_matrix(name: str, params: Tuple[float, ...] = ()) -> np.ndarray:
     """Convenience wrapper returning the matrix for a gate name and params."""
-    num_qubits = {"cx": 2, "cz": 2, "cy": 2, "ch": 2, "cp": 2, "crz": 2, "rzz": 2,
-                  "swap": 2, "ccx": 3, "ccz": 3, "cswap": 3}.get(name, 1)
-    return Gate(name, num_qubits, params).matrix()
+    return Gate(name, _MULTI_QUBIT_ARITY.get(name, 1), params).matrix()
+
+
+# ----------------------------------------------------------------------
+# Identity up to global phase
+# ----------------------------------------------------------------------
+#: Relative tolerance on the diagonal of every identity test.  It is numpy's
+#: default ``rtol``, which ``np.allclose(m / m[0, 0], I, atol=atol)`` applies
+#: unless told otherwise, so ``rz(9e-6)`` counts as the identity at any
+#: ``atol``.  It is named here so that dropping it is one deliberate,
+#: verdict-changing edit rather than a side effect of a faster check.
+IDENTITY_DIAGONAL_RTOL = 1e-5
+
+#: Python's complex ``/`` and ``abs`` round differently from numpy's
+#: vectorised kernels, by a few ulps.  A scalar comparison whose value lies
+#: within ``_ROUNDING_BAND * (1 + value)`` of its bound is handed to numpy, so
+#: every verdict is the one ``np.allclose`` gives.
+_ROUNDING_BAND = 1e-13
+
+#: Entries in the memo of one-qubit identity verdicts.  Clean-up passes ask
+#: the same gate values over and over while a circuit compiles; the memo lives
+#: for the whole process (a long-running server included), so it is bounded.
+IDENTITY_MEMO_SIZE = 4096
+
+
+def _within(value: float, bound: float) -> Optional[bool]:
+    """``value <= bound``, or ``None`` when rounding could decide it."""
+    if abs(value - bound) <= _ROUNDING_BAND * (1.0 + value):
+        return None
+    return value <= bound
+
+
+def unitary_2x2_is_identity(
+    m00: complex, m01: complex, m10: complex, m11: complex, atol: float
+) -> bool:
+    """Whether ``[[m00, m01], [m10, m11]]`` is the identity up to global phase.
+
+    Returns exactly ``abs(m00) >= atol and np.allclose(m / m00, np.eye(2),
+    atol=atol)``: ``|m/m₀₀ − I| ≤ atol`` entrywise, plus
+    :data:`IDENTITY_DIAGONAL_RTOL` on the diagonal.  Plain complex arithmetic
+    on the four entries replaces the numpy dispatch, which dominated the
+    clean-up passes on 2x2 matrices; the rare comparison that sits within
+    rounding of its bound (and any non-positive ``atol``) is delegated to
+    numpy so the verdict never changes.
+    """
+    if atol > 0.0:
+        try:
+            phase_ok = _within(atol, abs(m00))
+            if phase_ok is False:
+                return False
+            if phase_ok is not None:
+                diagonal = atol + IDENTITY_DIAGONAL_RTOL
+                # m00 / m00 is 1 to within an ulp, far inside ``diagonal``.
+                verdicts = (
+                    _within(abs(m01 / m00), atol),
+                    _within(abs(m10 / m00), atol),
+                    _within(abs(m11 / m00 - 1.0), diagonal),
+                )
+                if False in verdicts:
+                    return False
+                if None not in verdicts:
+                    return True
+        except OverflowError:
+            pass  # abs() of an entry beyond the float range; numpy returns inf
+    matrix = np.array([[m00, m01], [m10, m11]], dtype=complex)
+    return _allclose_to_identity(matrix, atol)
+
+
+def _allclose_to_identity(matrix: np.ndarray, atol: float) -> bool:
+    """The reference test on a square matrix of any size, through numpy."""
+    phase = matrix[0, 0]
+    if abs(phase) < atol:
+        return False
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        identity = np.eye(matrix.shape[0])
+        return bool(
+            np.allclose(matrix / phase, identity, rtol=IDENTITY_DIAGONAL_RTOL, atol=atol)
+        )
+
+
+@functools.lru_cache(maxsize=IDENTITY_MEMO_SIZE)
+def _one_qubit_is_identity(name: str, params: Tuple[float, ...], tol: float) -> bool:
+    (m00, m01), (m10, m11) = Gate(name, 1, params).matrix().tolist()
+    return unitary_2x2_is_identity(m00, m01, m10, m11, tol)

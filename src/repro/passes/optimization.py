@@ -142,6 +142,13 @@ class Consolidate1qRunsPass(TransformationPass):
     reports no modification.  That makes the pass a genuine fixed point for the
     :class:`~repro.passes.base.FixedPoint` combinator while keeping its first
     application bit-identical to the historical behaviour.
+
+    Runs are composed with numpy ``@`` on purpose.  Scalar complex products
+    round differently in the last bit, and the ZYZ angles derived from the
+    product carry that difference into the emitted ``u3`` gates: 43 of the 88
+    Figure 9/10 compiles then miss their frozen sha256.  Only the identity
+    test on the product runs as scalar code (:func:`matrix_is_identity`),
+    because a verdict, unlike a product, can be reproduced exactly.
     """
 
     checks = ("gate_count_nonincreasing",)

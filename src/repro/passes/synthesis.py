@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..circuits.gate import Gate
+from ..circuits.gate import Gate, unitary_2x2_is_identity
 from ..exceptions import TranspilerError
 
 
@@ -65,9 +65,11 @@ def u3_from_matrix(matrix: np.ndarray) -> Gate:
 
 
 def matrix_is_identity(matrix: np.ndarray, atol: float = 1e-10) -> bool:
-    """Whether a 2x2 unitary is the identity up to global phase."""
-    matrix = np.asarray(matrix, dtype=complex)
-    phase = matrix[0, 0]
-    if abs(phase) < atol:
-        return False
-    return bool(np.allclose(matrix / phase, np.eye(2), atol=atol))
+    """Whether a 2x2 unitary is the identity up to global phase.
+
+    With ``m₀₀`` the top-left entry: ``|m₀₀| ≥ atol`` and ``|m/m₀₀ − I| ≤
+    atol`` entrywise, plus ``1e-5`` on the diagonal (see
+    :func:`~repro.circuits.gate.unitary_2x2_is_identity`).
+    """
+    (m00, m01), (m10, m11) = np.asarray(matrix, dtype=complex).tolist()
+    return unitary_2x2_is_identity(m00, m01, m10, m11, atol)

@@ -190,6 +190,16 @@ class TestQueries:
         assert len(dag) == 3
         assert dag.count_ops() == {"h": 1, "cx": 1, "measure": 1}
 
+    def test_wires_of_shares_qubits_and_encodes_clbits(self):
+        gate = Instruction(library.cx_gate(), (2, 0))
+        assert DagCircuit._wires_of(gate) is gate.qubits
+        measure = Instruction(library.measure_op(), (1,), (0,))
+        circuit = QuantumCircuit(2)
+        circuit.measure(1, 0)
+        node = DagCircuit.from_circuit(circuit).head
+        assert tuple(DagCircuit._wires_of(measure)) == tuple(node.wires)
+        assert len(DagCircuit._wires_of(measure)) == 2
+
 
 class TestFrozen:
     def test_frozen_dag_rejects_mutation(self):
