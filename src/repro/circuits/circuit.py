@@ -29,15 +29,24 @@ class Instruction:
     clbits: Tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        qubits = tuple(int(q) for q in self.qubits)
+        # Construction is on every pass's hot path, so the coercions and
+        # checks below are written for speed; each check is still made.
+        qubits = tuple(map(int, self.qubits))
         object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "clbits", tuple(int(c) for c in self.clbits))
-        if len(qubits) != self.gate.num_qubits:
+        clbits = self.clbits
+        if type(clbits) is not tuple or clbits:
+            object.__setattr__(self, "clbits", tuple(map(int, clbits)))
+        count = len(qubits)
+        if count != self.gate.num_qubits:
             raise CircuitError(
                 f"gate {self.gate.name!r} expects {self.gate.num_qubits} qubits, "
-                f"got {len(qubits)}"
+                f"got {count}"
             )
-        if len(set(qubits)) != len(qubits):
+        if count == 2:
+            duplicate = qubits[0] == qubits[1]
+        else:
+            duplicate = count > 2 and len(set(qubits)) != count
+        if duplicate:
             raise CircuitError(f"duplicate qubits {qubits} for gate {self.gate.name!r}")
 
     @property
@@ -135,7 +144,14 @@ class QuantumCircuit:
         clbits: Sequence[int] = (),
     ) -> "QuantumCircuit":
         """Append ``gate`` acting on ``qubits``; returns ``self`` for chaining."""
-        instruction = Instruction(gate, tuple(qubits), tuple(clbits))
+        return self.append_instruction(Instruction(gate, tuple(qubits), tuple(clbits)))
+
+    def append_instruction(self, instruction: Instruction) -> "QuantumCircuit":
+        """Append an already-built instruction (validated against circuit size).
+
+        Instructions are immutable, so the object itself is stored rather
+        than a copy: ``without``, ``extend`` and ``remap_qubits`` share them.
+        """
         for qubit in instruction.qubits:
             if not 0 <= qubit < self.num_qubits:
                 raise CircuitError(
@@ -145,10 +161,6 @@ class QuantumCircuit:
         if self._cache:
             self._cache.clear()
         return self
-
-    def append_instruction(self, instruction: Instruction) -> "QuantumCircuit":
-        """Append an already-built instruction (validated against circuit size)."""
-        return self.append(instruction.gate, instruction.qubits, instruction.clbits)
 
     def extend(self, instructions: Iterable[Instruction]) -> "QuantumCircuit":
         """Append every instruction from ``instructions``."""

@@ -40,6 +40,43 @@ def _rebuild_dag(circuit: QuantumCircuit, frozen: bool) -> "DagCircuit":
     return dag
 
 
+def weighted_depth(
+    instructions: Iterable[Instruction], duration_of: Callable[[Instruction], float]
+) -> float:
+    """Length of the critical path where each instruction costs ``duration_of(instruction)``.
+
+    One linear scan with per-wire ready times; no dependency graph is built,
+    because any topological order (program order included) gives the same
+    makespan.
+
+    Args:
+        instructions: The instructions in a valid topological order, e.g.
+            ``circuit.instructions``.
+        duration_of: Callable mapping an :class:`Instruction` to a float
+            duration.  Barriers should be given zero duration.
+
+    Returns:
+        Total duration of the critical path (the schedule makespan under
+        ASAP scheduling with unlimited parallelism).
+    """
+    makespan = 0.0
+    ready_qubit: Dict[int, float] = {}
+    ready_clbit: Dict[int, float] = {}
+    for instruction in instructions:
+        start = 0.0
+        for qubit in instruction.qubits:
+            start = max(start, ready_qubit.get(qubit, 0.0))
+        for clbit in instruction.clbits:
+            start = max(start, ready_clbit.get(clbit, 0.0))
+        end = start + float(duration_of(instruction))
+        for qubit in instruction.qubits:
+            ready_qubit[qubit] = end
+        for clbit in instruction.clbits:
+            ready_clbit[clbit] = end
+        makespan = max(makespan, end)
+    return makespan
+
+
 def _clbit_wire(clbit: int) -> int:
     """Wire key of a classical bit (negative, so it cannot clash with a qubit)."""
     return -(clbit + 1)
@@ -577,30 +614,12 @@ class DagCircuit:
     def weighted_depth(self, duration_of: Callable[[Instruction], float]) -> float:
         """Length of the critical path where each node costs ``duration_of(instruction)``.
 
-        Args:
-            duration_of: Callable mapping an :class:`Instruction` to a float
-                duration.  Barriers should be given zero duration.
-
-        Returns:
-            Total duration of the critical path (the schedule makespan under
-            ASAP scheduling with unlimited parallelism).
+        See the module-level :func:`weighted_depth`, which this delegates to
+        with the DAG's linear order.
         """
-        makespan = 0.0
-        ready_qubit: Dict[int, float] = {}
-        ready_clbit: Dict[int, float] = {}
-        for node in self._iter_nodes():
-            start = 0.0
-            for qubit in node.instruction.qubits:
-                start = max(start, ready_qubit.get(qubit, 0.0))
-            for clbit in node.instruction.clbits:
-                start = max(start, ready_clbit.get(clbit, 0.0))
-            end = start + float(duration_of(node.instruction))
-            for qubit in node.instruction.qubits:
-                ready_qubit[qubit] = end
-            for clbit in node.instruction.clbits:
-                ready_clbit[clbit] = end
-            makespan = max(makespan, end)
-        return makespan
+        return weighted_depth(
+            (node.instruction for node in self._iter_nodes()), duration_of
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -87,14 +87,27 @@ _MEASURE_RE = re.compile(r"measure\s+(\w+)\[(\d+)\]\s*->\s*(\w+)\[(\d+)\]\s*;")
 _GATE_RE = re.compile(r"(\w+)\s*(\(([^)]*)\))?\s+([^;]+);")
 
 
+#: Longest angle text accepted.  The exporter never writes more than a
+#: ``repr`` of a float (~24 characters) or a short pi fraction.
+_MAX_ANGLE_CHARS = 128
+
+
 def _parse_angle(text: str) -> float:
     """Evaluate a restricted arithmetic expression over pi (e.g. ``-3*pi/4``).
 
     Also accepts scientific notation (``1.5e-07``), which the exporter's
     full-precision ``repr`` rendering produces for small angles.
+
+    Input may be untrusted (``repro serve`` parses on its event loop), so
+    ``**`` and any text over :data:`_MAX_ANGLE_CHARS` are rejected before
+    ``eval``: ``9**9**8`` alone would compute for minutes.
     """
+    if len(text) > _MAX_ANGLE_CHARS:
+        raise CircuitError(
+            f"angle expression longer than {_MAX_ANGLE_CHARS} characters"
+        )
     allowed = set("0123456789.+-*/ piE()e")
-    if not set(text) <= allowed:
+    if not set(text) <= allowed or "**" in text:
         raise CircuitError(f"unsupported angle expression {text!r}")
     try:
         return float(eval(text, {"__builtins__": {}}, {"pi": math.pi}))  # noqa: S307

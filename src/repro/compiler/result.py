@@ -111,8 +111,8 @@ class CompilationResult:
     def _bare_circuit(self) -> QuantumCircuit:
         """The compiled circuit without barriers, built once and cached.
 
-        Duration and success queries both schedule this circuit, and its
-        memoized DAG (``QuantumCircuit.dag``) is shared between them.
+        Duration and success queries both schedule this circuit.  It shares
+        the compiled circuit's (immutable) instruction objects.
         """
         if self._bare is None:
             self._bare = self.circuit.without(["barrier"])

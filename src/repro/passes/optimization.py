@@ -24,6 +24,11 @@ from ..circuits import library
 from .base import PropertySet, TransformationPass
 from .synthesis import matrix_is_identity, u3_from_matrix
 
+# The product a new one-qubit run starts from.  ``@`` always returns a fresh
+# array, so one shared read-only identity serves every run.
+_IDENTITY_2X2 = np.eye(2, dtype=complex)
+_IDENTITY_2X2.setflags(write=False)
+
 
 class DecomposeSwapsPass(TransformationPass):
     """Expand every explicit SWAP into its three-CNOT implementation (§2.2)."""
@@ -181,8 +186,13 @@ class Consolidate1qRunsPass(TransformationPass):
             instruction = node.instruction
             if instruction.gate.is_unitary and instruction.gate.num_qubits == 1:
                 qubit = instruction.qubits[0]
-                nodes, matrix = pending.get(qubit, ([], np.eye(2, dtype=complex)))
-                pending[qubit] = (nodes + [node], instruction.gate.matrix() @ matrix)
+                run = pending.get(qubit)
+                if run is None:
+                    pending[qubit] = ([node], instruction.gate.matrix() @ _IDENTITY_2X2)
+                else:
+                    nodes, matrix = run
+                    nodes.append(node)
+                    pending[qubit] = (nodes, instruction.gate.matrix() @ matrix)
                 node = nxt
                 continue
             for qubit in instruction.qubits:

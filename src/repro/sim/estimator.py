@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .. import obs
 from ..circuits.circuit import QuantumCircuit
+from ..circuits.dag import weighted_depth
 from ..exceptions import SimulationError
 from ..hardware.calibration import DeviceCalibration
 
@@ -40,10 +41,12 @@ class SuccessEstimate:
 
 
 def circuit_duration(circuit: QuantumCircuit, calibration: DeviceCalibration) -> float:
-    """Scheduled duration (µs) of a hardware-basis circuit under ASAP scheduling."""
-    # Reuse the circuit's shared, memoized DAG instead of rebuilding one per
-    # estimate (duration and success queries on the same circuit share it).
-    dag = circuit.dag()
+    """Scheduled duration (µs) of a hardware-basis circuit under ASAP scheduling.
+
+    One scan of ``circuit.instructions`` with per-wire ready times: program
+    order is a topological order, so no DAG is built (or cached on the
+    circuit) to score it.
+    """
 
     def duration_of(instruction) -> float:
         if instruction.gate.num_qubits >= 3:
@@ -53,7 +56,7 @@ def circuit_duration(circuit: QuantumCircuit, calibration: DeviceCalibration) ->
             )
         return calibration.gate_duration(instruction.name, instruction.qubits)
 
-    return dag.weighted_depth(duration_of)
+    return weighted_depth(circuit.instructions, duration_of)
 
 
 def estimate_success(

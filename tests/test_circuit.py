@@ -1,10 +1,14 @@
 """Unit tests for the QuantumCircuit IR, the DAG and OpenQASM I/O."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from repro.circuits import CircuitDag, QuantumCircuit, circuit_layers, from_qasm, to_qasm
+from repro.circuits.circuit import Instruction
+from repro.circuits.library import barrier_op, ccx_gate, cx_gate, h_gate, measure_op
 from repro.exceptions import CircuitError
 
 
@@ -47,6 +51,58 @@ class TestCircuitConstruction:
     def test_compose_size_mismatch(self):
         with pytest.raises(CircuitError):
             QuantumCircuit(3).compose(QuantumCircuit(2), qubits=[0])
+
+
+class TestInstruction:
+    def test_numpy_and_list_indices_normalised_to_int_tuples(self):
+        inst = Instruction(cx_gate(), [np.int64(2), np.int32(0)])
+        assert inst.qubits == (2, 0) and inst.clbits == ()
+        assert all(type(q) is int for q in inst.qubits)
+        measured = Instruction(measure_op(), np.array([1]), [np.int64(3)])
+        assert measured.qubits == (1,) and measured.clbits == (3,)
+        assert type(measured.qubits) is tuple and type(measured.clbits) is tuple
+        assert all(type(c) is int for c in measured.clbits)
+
+    @pytest.mark.parametrize(
+        "gate, qubits",
+        [(cx_gate(), (1, 1)), (ccx_gate(), (0, 2, 0)), (ccx_gate(), (2, 2, 2))],
+    )
+    def test_duplicate_qubits_message(self, gate, qubits):
+        expected = f"duplicate qubits {qubits} for gate {gate.name!r}"
+        with pytest.raises(CircuitError, match=re.escape(expected)):
+            Instruction(gate, qubits)
+
+    def test_distinct_qubits_accepted(self):
+        assert Instruction(cx_gate(), (0, 1)).qubits == (0, 1)
+        assert Instruction(ccx_gate(), (2, 0, 1)).qubits == (2, 0, 1)
+        assert Instruction(barrier_op(4), (3, 1, 0, 2)).qubits == (3, 1, 0, 2)
+
+    def test_arity_mismatch_message(self):
+        with pytest.raises(CircuitError, match=re.escape("gate 'cx' expects 2 qubits, got 3")):
+            Instruction(cx_gate(), (0, 1, 2))
+        with pytest.raises(CircuitError, match=re.escape("gate 'h' expects 1 qubits, got 2")):
+            QuantumCircuit(2).append(h_gate(), (0, 1))
+
+    def test_append_instruction_range_checks_and_clears_cache(self):
+        circuit = QuantumCircuit(2)
+        circuit.h(0)
+        assert circuit.depth() == 1 and circuit._cache
+        with pytest.raises(CircuitError, match="qubit 2 out of range"):
+            circuit.append_instruction(Instruction(cx_gate(), (0, 2)))
+        assert len(circuit) == 1
+        inst = Instruction(cx_gate(), (0, 1))
+        circuit.append_instruction(inst)
+        assert not circuit._cache
+        assert circuit.instructions[-1] is inst
+        assert circuit.depth() == 2
+
+    def test_without_shares_instruction_objects(self):
+        circuit = QuantumCircuit(3)
+        circuit.h(0).cx(0, 1).barrier().measure(2, 0)
+        bare = circuit.without(["barrier"])
+        kept = [inst for inst in circuit.instructions if inst.name != "barrier"]
+        assert len(bare.instructions) == len(kept)
+        assert all(new is old for new, old in zip(bare.instructions, kept))
 
 
 class TestCircuitMetrics:

@@ -11,6 +11,9 @@ library circuits.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +167,43 @@ class TestRenderingDetails:
         bad = 'OPENQASM 2.0;\nqreg q[1];\nrz(1**) q[0];\n'
         with pytest.raises(CircuitError):
             from_qasm(bad)
+
+    def test_power_operator_rejected_before_evaluation(self):
+        # Even a cheap power is refused: the evaluator never sees ``**``.
+        with pytest.raises(CircuitError, match="unsupported angle"):
+            from_qasm('OPENQASM 2.0;\nqreg q[1];\nrz(2**3) q[0];\n')
+
+    def test_overlong_angle_rejected(self):
+        angle = "+".join(["1"] * 65)  # 129 characters
+        with pytest.raises(CircuitError, match="longer than 128"):
+            from_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n")
+        longest = "1+" * 63 + "10"  # 128 characters is still accepted
+        parsed = from_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({longest}) q[0];\n")
+        assert parsed.instructions[0].gate.params == (73.0,)
+
+    def test_hostile_power_tower_fails_fast(self):
+        # ``9**9**8`` has ~41 million digits; evaluating it froze the parser
+        # (and so ``repro serve``'s event loop) for well over 10 s.  Parse it
+        # in a child process, so a regression is killed rather than hanging
+        # the suite, and require the rejection itself to take under 1 s.
+        probe = (
+            "import time\n"
+            "from repro.circuits import from_qasm\n"
+            "from repro.exceptions import CircuitError\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    from_qasm('OPENQASM 2.0;\\nqreg q[1];\\nrz(9**9**8) q[0];\\n')\n"
+            "except CircuitError:\n"
+            "    print(time.perf_counter() - start)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip(), "the hostile angle was accepted"
+        assert float(done.stdout) < 1.0
 
     def test_unknown_name_in_angle_rejected(self):
         bad = 'OPENQASM 2.0;\nqreg q[1];\nrz(e) q[0];\n'
