@@ -2,11 +2,11 @@
 
 CI's service job runs this script.  It starts the CLI server as a subprocess,
 drives a small mixed stream over HTTP — a cold unique mix, a warm repeat, a
-burst of duplicates, malformed requests, a hostile QASM angle — then checks
-``/stats`` agrees with what the stream implies (hits observed, coalescing +
-caching held the pool compiles to at most one per unique key, the bad
-requests were 400s not casualties), asks for ``/shutdown``, and requires a
-clean exit code.
+burst of duplicates, malformed requests, a hostile QASM angle, malformed gate
+parameters — then checks ``/stats`` agrees with what the stream implies (hits
+observed, coalescing + caching held the pool compiles to at most one per
+unique key, the bad requests were 400s not casualties), asks for
+``/shutdown``, and requires a clean exit code.
 
 Run locally with::
 
@@ -97,15 +97,26 @@ def main() -> int:
         assert status == 200 and body["status"] == "hit", (status, body)
         print("[smoke] hostile angle rejected with 400; server still serving")
 
+        # A wrong parameter count and a non-finite angle are the client's
+        # fault (400), not a crashed compile (500).
+        for line in ("u3(0,0) q[0];", "rz(1e999) q[0];"):
+            malformed = f"OPENQASM 2.0;\nqreg q[1];\n{line}\n"
+            status, body = client.compile(malformed, "line-20", "baseline")
+            assert status == 400, (line, status, body)
+        status, body = client.compile(
+            requests[0][0], "line-20", "baseline", {"seed": SEED})
+        assert status == 200 and body["status"] == "hit", (status, body)
+        print("[smoke] malformed gate parameters rejected with 400; server still serving")
+
         status, stats = client.stats()
         assert status == 200
         service_stats = stats["service"]
         unique = len(requests)
         assert service_stats["misses"] == unique, service_stats
-        assert service_stats["hits"] == unique + 7, service_stats
+        assert service_stats["hits"] == unique + 8, service_stats
         assert service_stats["pool_compiles"] <= unique, service_stats
-        assert service_stats["errors"] == 3, service_stats
-        assert stats["cache"]["hits"] == unique + 7, stats["cache"]
+        assert service_stats["errors"] == 5, service_stats
+        assert stats["cache"]["hits"] == unique + 8, stats["cache"]
         assert stats["cache"]["entries"] == unique, stats["cache"]
         print(f"[smoke] stats consistent: {service_stats}")
 

@@ -216,3 +216,10 @@ GATE_ARITY: Dict[str, int] = {
     "cx": 2, "cz": 2, "cy": 2, "ch": 2, "cp": 2, "crz": 2, "rzz": 2, "swap": 2,
     "ccx": 3, "ccz": 3, "cswap": 3,
 }
+
+#: Parameter counts for the same names (every name in :data:`GATE_ARITY`).
+GATE_NUM_PARAMS: Dict[str, int] = {
+    **{name: 0 for name in GATE_ARITY},
+    "rx": 1, "ry": 1, "rz": 1, "u1": 1, "p": 1, "u2": 2, "u3": 3,
+    "cp": 1, "crz": 1, "rzz": 1,
+}

@@ -14,7 +14,7 @@ from typing import List, Tuple
 from ..exceptions import CircuitError
 from .circuit import QuantumCircuit
 from .gate import Gate
-from .library import GATE_ARITY
+from .library import GATE_ARITY, GATE_NUM_PARAMS
 
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -100,7 +100,9 @@ def _parse_angle(text: str) -> float:
 
     Input may be untrusted (``repro serve`` parses on its event loop), so
     ``**`` and any text over :data:`_MAX_ANGLE_CHARS` are rejected before
-    ``eval``: ``9**9**8`` alone would compute for minutes.
+    ``eval``: ``9**9**8`` alone would compute for minutes.  A value that is
+    not finite (``1e999``) is rejected too: no gate has a meaningful matrix
+    for it.
     """
     if len(text) > _MAX_ANGLE_CHARS:
         raise CircuitError(
@@ -110,16 +112,27 @@ def _parse_angle(text: str) -> float:
     if not set(text) <= allowed or "**" in text:
         raise CircuitError(f"unsupported angle expression {text!r}")
     try:
-        return float(eval(text, {"__builtins__": {}}, {"pi": math.pi}))  # noqa: S307
+        value = float(eval(text, {"__builtins__": {}}, {"pi": math.pi}))  # noqa: S307
     except Exception as exc:
         raise CircuitError(f"cannot evaluate angle expression {text!r}") from exc
+    if not math.isfinite(value):
+        raise CircuitError(f"angle expression {text!r} is not finite")
+    return value
+
+
+def _index(text: str) -> int:
+    """A register size or index; ``int`` refuses over 4300 digits with ``ValueError``."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise CircuitError(f"unusable integer {text[:32]!r} in OpenQASM input") from exc
 
 
 def from_qasm(text: str) -> QuantumCircuit:
     """Parse a (restricted) OpenQASM 2.0 program emitted by :func:`to_qasm`."""
     num_qubits = 0
     for match in _QREG_RE.finditer(text):
-        num_qubits += int(match.group(2))
+        num_qubits += _index(match.group(2))
     if num_qubits == 0:
         raise CircuitError("OpenQASM program declares no qubits")
     circuit = QuantumCircuit(num_qubits)
@@ -136,7 +149,7 @@ def from_qasm(text: str) -> QuantumCircuit:
             continue
         measure = _MEASURE_RE.match(line)
         if measure:
-            circuit.measure(int(measure.group(2)), int(measure.group(4)))
+            circuit.measure(_index(measure.group(2)), _index(measure.group(4)))
             continue
         match = _GATE_RE.match(line)
         if not match:
@@ -144,17 +157,19 @@ def from_qasm(text: str) -> QuantumCircuit:
         name = match.group(1)
         params_text = match.group(3)
         operands = match.group(4)
-        qubits = [int(q) for q in re.findall(r"\w+\[(\d+)\]", operands)]
-        if name == "barrier":
-            circuit.barrier(*qubits)
-            continue
-        if name == "reset":
-            circuit.reset(qubits[0])
-            continue
-        if name not in GATE_ARITY:
+        qubits = [_index(q) for q in re.findall(r"\w+\[(\d+)\]", operands)]
+        if name != "barrier" and name not in GATE_ARITY:
             raise CircuitError(f"unsupported gate {name!r} in OpenQASM input")
         params: Tuple[float, ...] = ()
         if params_text:
             params = tuple(_parse_angle(part) for part in params_text.split(","))
+        expected = GATE_NUM_PARAMS.get(name, 0)
+        if len(params) != expected:
+            raise CircuitError(
+                f"gate {name!r} takes {expected} parameter(s), got {len(params)}"
+            )
+        if name == "barrier":
+            circuit.barrier(*qubits)
+            continue
         circuit.append(Gate(name, GATE_ARITY[name], params), qubits)
     return circuit

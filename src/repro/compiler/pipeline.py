@@ -208,7 +208,8 @@ def _stage_second_decompose(ctx: _TranspileContext) -> Stage:
 def _stage_legalize(ctx: _TranspileContext) -> Stage:
     # After a fixed-mode second decomposition some CNOTs may be between
     # non-coupled qubits; the legalisation router fixes them.  For the
-    # mapping-aware decomposition it inserts zero SWAPs.
+    # mapping-aware decomposition the circuit is already legal and the
+    # router returns it as is.
     return Stage(
         "legalize",
         [LegalizationRouter(ctx.target.coupling_map, edge_weights=ctx.edge_weights)],

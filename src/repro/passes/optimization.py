@@ -14,20 +14,13 @@ cheaply.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from ..circuits.circuit import Instruction
 from ..circuits.dag import DagCircuit, DagNode
 from ..circuits import library
 from .base import PropertySet, TransformationPass
-from .synthesis import matrix_is_identity, u3_from_matrix
-
-# The product a new one-qubit run starts from.  ``@`` always returns a fresh
-# array, so one shared read-only identity serves every run.
-_IDENTITY_2X2 = np.eye(2, dtype=complex)
-_IDENTITY_2X2.setflags(write=False)
+from .synthesis import synthesise_run
 
 
 class DecomposeSwapsPass(TransformationPass):
@@ -148,32 +141,32 @@ class Consolidate1qRunsPass(TransformationPass):
     :class:`~repro.passes.base.FixedPoint` combinator while keeping its first
     application bit-identical to the historical behaviour.
 
-    Runs are composed with numpy ``@`` on purpose.  Scalar complex products
-    round differently in the last bit, and the ZYZ angles derived from the
-    product carry that difference into the emitted ``u3`` gates: 43 of the 88
-    Figure 9/10 compiles then miss their frozen sha256.  Only the identity
-    test on the product runs as scalar code (:func:`matrix_is_identity`),
-    because a verdict, unlike a product, can be reproduced exactly.
+    The pass only collects each wire's run of nodes; what a run becomes is
+    answered at flush by :func:`~repro.passes.synthesis.synthesise_run`,
+    which composes with numpy ``@`` on purpose and memoises the answer on the
+    exact bits of the run's gates.  Scalar complex products round differently
+    in the last bit, and the ZYZ angles derived from the product carry that
+    difference into the emitted ``u3`` gates: 43 of the 88 Figure 9/10
+    compiles then miss their frozen sha256.  A sweep meets only a few dozen
+    distinct runs, so nearly every flush is a memo hit.
     """
 
     checks = ("gate_count_nonincreasing",)
 
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
-        # Per-qubit pending run: the nodes collected so far and their product.
-        pending: Dict[int, Tuple[List[DagNode], np.ndarray]] = {}
+        # Per-qubit pending run: the nodes collected so far, in program order.
+        pending: Dict[int, List[DagNode]] = {}
 
         def flush(qubit: int, anchor: Optional[DagNode]) -> None:
-            run = pending.pop(qubit, None)
-            if run is None:
-                return
-            nodes, matrix = run
+            nodes = pending.pop(qubit)
             if len(nodes) == 1 and nodes[0].canonical_1q:
                 return  # already in canonical form; rewriting would only churn bytes
+            merged = synthesise_run([node.instruction.gate for node in nodes])
             for stale in nodes:
                 dag.remove_node(stale)
-            if matrix_is_identity(matrix):
+            if merged is None:
                 return
-            instruction = Instruction(u3_from_matrix(matrix), (qubit,))
+            instruction = Instruction(merged, (qubit,))
             if anchor is None:
                 new = dag.append_instruction(instruction)
             else:
@@ -184,19 +177,19 @@ class Consolidate1qRunsPass(TransformationPass):
         while node is not None:
             nxt = node.next_node
             instruction = node.instruction
-            if instruction.gate.is_unitary and instruction.gate.num_qubits == 1:
-                qubit = instruction.qubits[0]
-                run = pending.get(qubit)
-                if run is None:
-                    pending[qubit] = ([node], instruction.gate.matrix() @ _IDENTITY_2X2)
+            qubits = instruction.qubits
+            if len(qubits) == 1 and instruction.gate.is_unitary:
+                qubit = qubits[0]
+                nodes = pending.get(qubit)
+                if nodes is None:
+                    pending[qubit] = [node]
                 else:
-                    nodes, matrix = run
                     nodes.append(node)
-                    pending[qubit] = (nodes, instruction.gate.matrix() @ matrix)
                 node = nxt
                 continue
-            for qubit in instruction.qubits:
-                flush(qubit, node)
+            for qubit in qubits:
+                if qubit in pending:
+                    flush(qubit, node)
             node = nxt
         for qubit in sorted(pending):
             flush(qubit, None)

@@ -185,19 +185,63 @@ class GreedySwapRouter(TransformationPass):
         return out
 
 
+def _compose_final_layout(final: Layout, wire_permutation: Layout) -> Layout:
+    """``final`` followed by a permutation of the physical wires."""
+    return Layout(
+        {
+            logical: wire_permutation.physical(physical)
+            for logical, physical in final.to_dict().items()
+        }
+    )
+
+
 class LegalizationRouter(GreedySwapRouter):
     """Re-route a circuit that already lives on physical wires.
 
     Used after a non-mapping-aware second decomposition (the "Trios (6-CNOT
     Toffoli)" ablation): any CNOT that the decomposition produced between
     non-coupled physical qubits gets the usual SWAP treatment.  For the real
-    Trios flow this pass inserts zero SWAPs, which the tests assert.
+    Trios flow the circuit is already legal — on the device's wires, no gate
+    on three or more qubits other than a barrier, every two-qubit gate on a
+    coupled pair — and the pass returns its input, recording in the property
+    set exactly what re-routing it would (zero SWAPs, an unchanged final
+    layout), which the tests assert.
     """
 
     establishes = ("routed",)
     invalidates = ("scheduled", "swaps_expanded")
 
+    def _is_legal(self, dag: DagCircuit) -> bool:
+        """Whether routing ``dag`` would copy every gate and insert no SWAP.
+
+        A frozen DAG counts as illegal: re-routing it hands later in-place
+        passes the mutable copy they need.
+        """
+        if dag.num_qubits != self.coupling_map.num_qubits or dag.frozen:
+            return False
+        are_adjacent = self.coupling_map.are_adjacent
+        for node in dag:
+            qubits = node.instruction.qubits
+            if len(qubits) < 2 or node.instruction.name == "barrier":
+                continue
+            if len(qubits) > 2 or not are_adjacent(*qubits):
+                return False
+        return True
+
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
+        if not self._is_legal(dag):
+            return self._reroute(dag, properties)
+        # Re-routing a legal circuit would copy every gate and move nothing:
+        # keep the DAG and record what the rebuild would have recorded.
+        saved_final = properties.get("final_layout")
+        trivial = Layout.trivial(self.coupling_map.num_qubits)
+        properties["final_layout"] = (
+            trivial if saved_final is None else _compose_final_layout(saved_final, trivial)
+        )
+        properties["swaps_inserted"] = properties.get("swaps_inserted", 0)
+        return dag
+
+    def _reroute(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
         # The circuit is already expressed on physical wires; route with an
         # identity layout over the whole device, then compose the wire
         # permutation it introduces into the recorded final layout.
@@ -206,13 +250,10 @@ class LegalizationRouter(GreedySwapRouter):
         saved_final = properties.get("final_layout")
         properties["layout"] = Layout.trivial(self.coupling_map.num_qubits)
         routed = super().run_dag(dag, properties)
-        wire_permutation: Layout = properties["final_layout"]
         if saved_final is not None:
-            composed = {
-                logical: wire_permutation.physical(physical)
-                for logical, physical in saved_final.to_dict().items()
-            }
-            properties["final_layout"] = Layout(composed)
+            properties["final_layout"] = _compose_final_layout(
+                saved_final, properties["final_layout"]
+            )
         # Restore (or remove) the keys the temporary trivial layout touched so
         # no full-device placeholder leaks into later passes.
         if saved_initial is not None:

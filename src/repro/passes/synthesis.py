@@ -7,8 +7,10 @@ rewrite arbitrary single-qubit gates as the hardware's ``u3`` gate.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from typing import Tuple
+import struct
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,3 +75,61 @@ def matrix_is_identity(matrix: np.ndarray, atol: float = 1e-10) -> bool:
     """
     (m00, m01), (m10, m11) = np.asarray(matrix, dtype=complex).tolist()
     return unitary_2x2_is_identity(m00, m01, m10, m11, atol)
+
+
+#: Entries in the memo of synthesised one-qubit runs.  A compile sweep meets
+#: the same few dozen runs thousands of times; the memo lives for the whole
+#: process (a long-running server included), so it is bounded.
+RUN_SYNTHESIS_MEMO_SIZE = 4096
+
+# The product a run starts from.  ``@`` always returns a fresh array, so one
+# shared read-only identity serves every run.
+_IDENTITY_2X2 = np.eye(2, dtype=complex)
+_IDENTITY_2X2.setflags(write=False)
+
+# Little-endian IEEE-754 doubles, one layout per parameter count.
+_PARAM_LAYOUTS = tuple(struct.Struct(f"<{count}d") for count in range(4))
+
+
+def _exact_bits(params: Tuple[float, ...]) -> bytes:
+    """The parameters' IEEE-754 bits: unlike ``==``, tells ``-0.0`` from ``0.0``."""
+    count = len(params)
+    layout = _PARAM_LAYOUTS[count] if count < 4 else struct.Struct(f"<{count}d")
+    return layout.pack(*params)
+
+
+def synthesise_run(gates: Sequence[Gate]) -> Optional[Gate]:
+    """The ``u3`` implementing a run of one-qubit gates, or ``None`` if it is the identity.
+
+    ``gates`` are in program order.  The answer is exactly that of composing
+    the run with numpy ``@`` (``m₁ @ I``, then ``mₖ @ …``), testing the
+    product with :func:`matrix_is_identity` and synthesising it with
+    :func:`u3_from_matrix`, served from a bounded memo.  The memo is keyed on
+    each gate's name and the exact bits of its parameters, not on
+    :class:`Gate` values: ``Gate`` equality treats ``-0.0`` and ``0.0`` as
+    equal although their matrices can differ in the sign of zero entries.
+    With exact keys a hit is the answer for its own input, with no need to
+    prove that such signs never reach the synthesised angles.
+    """
+    # One key item per gate: the bare name of a parameter-free gate, else
+    # ``(name, bits)``.  A plain loop builds it faster than a generator.
+    key = []
+    for gate in gates:
+        params = gate.params
+        key.append((gate.name, _exact_bits(params)) if params else gate.name)
+    return _synthesise_exact(tuple(key))
+
+
+@functools.lru_cache(maxsize=RUN_SYNTHESIS_MEMO_SIZE)
+def _synthesise_exact(key: Tuple[Union[str, Tuple[str, bytes]], ...]) -> Optional[Gate]:
+    matrix = _IDENTITY_2X2
+    for item in key:
+        if isinstance(item, str):
+            gate = Gate(item, 1)
+        else:
+            name, bits = item
+            gate = Gate(name, 1, struct.unpack(f"<{len(bits) // 8}d", bits))
+        matrix = gate.matrix() @ matrix
+    if matrix_is_identity(matrix):
+        return None
+    return u3_from_matrix(matrix)

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.bench_circuits.suite import get_benchmark
 from repro.circuits import QuantumCircuit
+from repro.circuits.dag import DagCircuit
+from repro.compiler.pipeline import transpile
 from repro.exceptions import LayoutError, RoutingError
-from repro.hardware import CouplingMap, line
+from repro.hardware import CouplingMap, johannesburg, line
 from repro.passes import (
     ASAPSchedulePass,
     CancelAdjacentInversesPass,
@@ -280,6 +283,85 @@ class TestLegalizationRouter:
         LegalizationRouter(line_map).run(circuit, properties)
         assert properties["layout"].to_dict() == prior.to_dict()
         assert properties["initial_layout"].to_dict() == prior.to_dict()
+
+    # -- the already-legal short cut ------------------------------------
+    @staticmethod
+    def _legal_dag(num_qubits=20):
+        circuit = QuantumCircuit(num_qubits)
+        circuit.h(0).cx(0, 1).cx(2, 1).t(5).cx(5, 4).measure(4, 0)
+        return DagCircuit.from_circuit(circuit)
+
+    def test_legal_input_is_returned_as_is(self, line_map):
+        dag = self._legal_dag()
+        before = dag.instructions
+        properties = PropertySet()
+        assert LegalizationRouter(line_map).run(dag, properties) is dag
+        assert dag.instructions == before
+        assert properties["swaps_inserted"] == 0
+
+    @pytest.mark.parametrize("prior", ["none", "final", "layout", "all"])
+    def test_legal_input_records_what_the_rebuild_would(self, line_map, prior):
+        def properties():
+            props = PropertySet()
+            if prior in ("layout", "all"):
+                props["layout"] = Layout({0: 3, 1: 4})
+                props["initial_layout"] = Layout({0: 3, 1: 4})
+            if prior in ("final", "all"):
+                props["final_layout"] = Layout({0: 4, 1: 3, 2: 7})
+            if prior == "all":
+                props["swaps_inserted"] = 5
+            return props
+
+        router = LegalizationRouter(line_map)
+        short_cut, rebuilt = properties(), properties()
+        kept = router.run_dag(self._legal_dag(), short_cut)
+        rerouted = router._reroute(self._legal_dag(), rebuilt)
+        assert kept.instructions == rerouted.instructions
+
+        def plain(props):
+            return {
+                key: value.to_dict() if isinstance(value, Layout) else value
+                for key, value in props.items()
+            }
+
+        assert plain(short_cut) == plain(rebuilt)
+        assert list(short_cut) == list(rebuilt)
+
+    def test_three_qubit_gate_still_raises(self, line_map):
+        circuit = QuantumCircuit(20)
+        circuit.ccx(0, 1, 2)
+        with pytest.raises(RoutingError):
+            LegalizationRouter(line_map).run(circuit, PropertySet())
+
+    def test_narrower_dag_lands_on_the_device_wires(self, line_map):
+        dag = DagCircuit.from_circuit(QuantumCircuit(3).cx(0, 1).cx(1, 2))
+        routed = LegalizationRouter(line_map).run(dag, PropertySet())
+        assert routed is not dag
+        assert routed.num_qubits == line_map.num_qubits
+        assert routed.instructions == dag.instructions
+
+    def test_barrier_across_non_adjacent_qubits_is_legal(self, line_map):
+        circuit = QuantumCircuit(20)
+        circuit.cx(0, 1).barrier(0, 7).barrier(2, 9, 15)
+        dag = DagCircuit.from_circuit(circuit)
+        properties = PropertySet()
+        assert LegalizationRouter(line_map).run(dag, properties) is dag
+        assert properties["swaps_inserted"] == 0
+
+    @pytest.mark.parametrize("device", [johannesburg, line])
+    def test_mapping_aware_trios_compiles_take_the_short_cut(self, device, monkeypatch):
+        def rebuild(*args):
+            raise AssertionError("a mapping-aware Trios circuit was re-routed")
+
+        monkeypatch.setattr(LegalizationRouter, "_reroute", rebuild)
+        result = transpile(get_benchmark("grovers-9"), device(), method="trios", seed=11)
+        assert result.properties["swaps_inserted"] > 0  # the Trios router's, not ours
+
+    def test_frozen_legal_dag_is_rebuilt_mutable(self, line_map):
+        dag = self._legal_dag().freeze()
+        routed = LegalizationRouter(line_map).run(dag, PropertySet())
+        assert routed is not dag and not routed.frozen
+        assert routed.instructions == dag.instructions
 
 
 class TestOptimizationPasses:

@@ -12,16 +12,30 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench_circuits.suite import PAPER_BENCHMARKS, get_benchmark
 from repro.circuits import QuantumCircuit, from_qasm, to_qasm
-from repro.circuits.library import GATE_ARITY, p_gate, rx_gate, ry_gate, rz_gate, u1_gate
-from repro.exceptions import CircuitError
+from repro.circuits.gate import Gate
+from repro.circuits.library import (
+    GATE_ARITY,
+    GATE_NUM_PARAMS,
+    p_gate,
+    rx_gate,
+    ry_gate,
+    rz_gate,
+    u1_gate,
+)
+from repro.exceptions import CircuitError, ServiceRequestError
+from repro.hardware import line as line_device
+from repro.service.jobs import CompileJob
 
 # Parameter-free library gates by arity (excluding non-unitary ops and the
 # gates needing explicit definitions, which get their own cases below).
@@ -215,3 +229,135 @@ class TestRenderingDetails:
         for name in (*_PLAIN_1Q, *_PLAIN_2Q, *_PLAIN_3Q, *_PARAM_1Q,
                      "u2", "u3", "cp", "crz", "rzz", "ccz"):
             assert name in GATE_ARITY, name
+
+
+# ----------------------------------------------------------------------
+# Parameter counts and non-finite angles
+# ----------------------------------------------------------------------
+_MALFORMED_GATES = {
+    "too few parameters": "u3(0,0) q[0];",
+    "empty parameter list": "rz() q[0];",
+    "too many parameters": "rz(1,2) q[0];",
+    "non-finite angle": "rz(1e999) q[0];",
+}
+
+
+def _one_qubit_program(line: str) -> str:
+    return f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n{line}\n'
+
+
+class TestMalformedGates:
+    @pytest.mark.parametrize("line", _MALFORMED_GATES.values(), ids=_MALFORMED_GATES)
+    def test_rejected_as_circuit_error(self, line):
+        with pytest.raises(CircuitError):
+            from_qasm(_one_qubit_program(line))
+
+    @pytest.mark.parametrize("line", _MALFORMED_GATES.values(), ids=_MALFORMED_GATES)
+    def test_service_treats_it_as_a_bad_request(self, line):
+        # The HTTP layer answers ServiceRequestError with 400; anything that
+        # is not a ReproError would be a 500.
+        with pytest.raises(ServiceRequestError):
+            CompileJob.from_qasm(_one_qubit_program(line), line_device(20), "baseline")
+
+    @pytest.mark.parametrize("text", ["-1e999", "1e308*10", "0*1e999", "pi*1e308*1e308"])
+    def test_every_non_finite_value_rejected(self, text):
+        with pytest.raises(CircuitError, match="not finite"):
+            from_qasm(_one_qubit_program(f"rz({text}) q[0];"))
+
+    def test_parameter_table_covers_every_gate(self):
+        assert set(GATE_NUM_PARAMS) == set(GATE_ARITY)
+        for name, count in GATE_NUM_PARAMS.items():
+            if name in ("measure", "reset"):
+                continue
+            params = tuple(0.25 * (i + 1) for i in range(count))
+            assert Gate(name, GATE_ARITY[name], params).matrix().shape[0] == 2 ** GATE_ARITY[name]
+
+    def test_parameters_on_barrier_and_reset_rejected(self):
+        for line in ("barrier(1) q[0];", "reset(0.5) q[0];"):
+            with pytest.raises(CircuitError, match="parameter"):
+                from_qasm(_one_qubit_program(line))
+
+    def test_reset_without_a_qubit_is_a_circuit_error(self):
+        with pytest.raises(CircuitError):
+            from_qasm(_one_qubit_program("reset q;"))
+
+    def test_overlong_index_is_a_circuit_error(self):
+        with pytest.raises(CircuitError, match="unusable integer"):
+            from_qasm(_one_qubit_program(f"h q[{'9' * 5000}];"))
+
+
+# ----------------------------------------------------------------------
+# Fuzzing: only CircuitError, and only gates with finite matrices
+# ----------------------------------------------------------------------
+_SUITE_PROGRAMS = tuple(to_qasm(get_benchmark(name)) for name in PAPER_BENCHMARKS)
+
+# Fragments a mutation splices in: QASM punctuation, angle syntax, gate names.
+_FRAGMENTS = st.one_of(
+    st.sampled_from(
+        ["(", ")", ",", ";", "[", "]", "q", "c", " ", "\n", "pi", "e", "E", "-",
+         "*", "/", ".", "->", "//", "1e999", "0", "9", "()", "(1,2)", "q[0]",
+         "u3", "u2", "rz", "cx", "ccx", "barrier", "reset", "measure", "qreg",
+         "creg", "gate "]
+    ),
+    st.text(max_size=4),
+)
+
+
+# Parameter lists a mutation puts on a gate line, right and wrong.
+_PARAMETER_LISTS = st.sampled_from(
+    ["", "()", "(0)", "(0,0)", "(1,2,3)", "(pi/2,0,pi)", "(1e999)", "(-1e999,0,0)",
+     "(0*1e999)", "(1,)", "(-0.0)", "(1e308*10,1,1)"]
+)
+_GATE_LINE = re.compile(r"^(\w+)(\([^)]*\))?(\s)", re.MULTILINE)
+
+
+@st.composite
+def mutated_programs(draw):
+    """A suite benchmark's ``to_qasm`` text with a few random edits.
+
+    An edit either splices a fragment over a few random characters or swaps
+    one gate line's parameter list for another (possibly wrong) one.
+    """
+    text = draw(st.sampled_from(_SUITE_PROGRAMS))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        gate_lines = list(_GATE_LINE.finditer(text))
+        if gate_lines and draw(st.booleans()):
+            line = draw(st.sampled_from(gate_lines))
+            text = (
+                text[: line.start()] + line.group(1) + draw(_PARAMETER_LISTS)
+                + text[line.end(3) - 1:]
+            )
+            continue
+        start = draw(st.integers(min_value=0, max_value=len(text)))
+        end = min(len(text), start + draw(st.integers(min_value=0, max_value=8)))
+        text = text[:start] + draw(_FRAGMENTS) + text[end:]
+    return text
+
+
+def _assert_only_circuit_errors(text: str) -> None:
+    try:
+        circuit = from_qasm(text)
+    except CircuitError:
+        return
+    for instruction in circuit.instructions:
+        if instruction.gate.is_unitary:
+            assert np.isfinite(instruction.gate.matrix()).all(), instruction
+
+
+class TestFuzz:
+    @given(data=st.binary(max_size=256))
+    @settings(max_examples=200, deadline=None)
+    def test_random_bytes(self, data):
+        _assert_only_circuit_errors(data.decode("latin-1"))
+
+    @given(fragments=st.lists(_FRAGMENTS, max_size=24))
+    @settings(max_examples=200, deadline=None)
+    def test_random_fragments_after_a_valid_header(self, fragments):
+        _assert_only_circuit_errors(
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n' + "".join(fragments)
+        )
+
+    @given(text=mutated_programs())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_suite_programs(self, text):
+        _assert_only_circuit_errors(text)
