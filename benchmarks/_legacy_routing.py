@@ -72,7 +72,7 @@ class LegacyLegalizationRouter(_LegacyPathPickerMixin, LegalizationRouter):
 
 @contextmanager
 def legacy_routers():
-    """Run ``compile_baseline`` / ``compile_trios`` with the frozen path picker.
+    """Run ``transpile()`` with the frozen path picker.
 
     Swaps the router classes referenced by :mod:`repro.compiler.pipeline` for
     their legacy subclasses, so both pipelines are byte-for-byte the modern

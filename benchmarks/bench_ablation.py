@@ -11,7 +11,7 @@ ingredient removed, over a pool of random Toffoli placements on Johannesburg:
 
 import random
 
-from repro import QuantumCircuit, compile_baseline, compile_trios
+from repro import QuantumCircuit, transpile
 from repro.experiments import geometric_mean
 from repro.hardware import johannesburg, johannesburg_aug19_2020
 
@@ -40,12 +40,14 @@ def _geomean_cnots(compile_fn):
 def test_ablation_mapping_aware_decomposition(benchmark):
     aware = benchmark.pedantic(
         lambda: _geomean_cnots(
-            lambda p: compile_trios(_toffoli(), DEVICE, layout=p)
+            lambda p: transpile(_toffoli(), DEVICE, method="trios", layout=p)
         ),
         iterations=1, rounds=1,
     )
     forced_6 = _geomean_cnots(
-        lambda p: compile_trios(_toffoli(), DEVICE, layout=p, second_decomposition="6cnot")
+        lambda p: transpile(
+            _toffoli(), DEVICE, method="trios", layout=p, second_decomposition="6cnot"
+        )
     )
     print(f"\n[Ablation] mapping-aware {aware:.1f} CNOTs vs forced 6-CNOT {forced_6:.1f}")
     assert aware <= forced_6
@@ -54,12 +56,16 @@ def test_ablation_mapping_aware_decomposition(benchmark):
 def test_ablation_overlap_optimization(benchmark):
     with_overlap = benchmark.pedantic(
         lambda: _geomean_cnots(
-            lambda p: compile_trios(_toffoli(), DEVICE, layout=p, overlap_optimization=True)
+            lambda p: transpile(
+                _toffoli(), DEVICE, method="trios", layout=p, overlap_optimization=True
+            )
         ),
         iterations=1, rounds=1,
     )
     without = _geomean_cnots(
-        lambda p: compile_trios(_toffoli(), DEVICE, layout=p, overlap_optimization=False)
+        lambda p: transpile(
+            _toffoli(), DEVICE, method="trios", layout=p, overlap_optimization=False
+        )
     )
     print(f"\n[Ablation] overlap trimming {with_overlap:.1f} CNOTs vs off {without:.1f}")
     assert with_overlap <= without
@@ -71,8 +77,8 @@ def test_ablation_noise_aware_routing(benchmark):
     def success(noise_aware):
         values = []
         for placement in _placements():
-            result = compile_trios(
-                _toffoli(), DEVICE, layout=placement,
+            result = transpile(
+                _toffoli(), DEVICE, method="trios", layout=placement,
                 calibration=noisy, noise_aware=noise_aware,
             )
             values.append(result.success_probability(noisy))
@@ -87,14 +93,14 @@ def test_ablation_noise_aware_routing(benchmark):
 def test_ablation_baseline_router_strength(benchmark):
     stochastic = benchmark.pedantic(
         lambda: _geomean_cnots(
-            lambda p: compile_baseline(_toffoli(), DEVICE, layout=p, seed=1)
+            lambda p: transpile(_toffoli(), DEVICE, method="baseline", layout=p, seed=1)
         ),
         iterations=1, rounds=1,
     )
     greedy = _geomean_cnots(
-        lambda p: compile_baseline(_toffoli(), DEVICE, layout=p, routing="greedy")
+        lambda p: transpile(_toffoli(), DEVICE, method="baseline", layout=p, routing="greedy")
     )
-    trios = _geomean_cnots(lambda p: compile_trios(_toffoli(), DEVICE, layout=p))
+    trios = _geomean_cnots(lambda p: transpile(_toffoli(), DEVICE, method="trios", layout=p))
     print(f"\n[Ablation] baseline CNOTs: stochastic {stochastic:.1f}, greedy {greedy:.1f}, "
           f"Trios {trios:.1f}")
     # Trios beats even the stronger deterministic baseline.

@@ -35,7 +35,7 @@ from _common import emit_bench_json
 from _legacy_routing import legacy_routers
 
 from repro.bench_circuits import get_benchmark
-from repro.compiler import compile_baseline, compile_trios
+from repro.compiler import transpile
 from repro.hardware import johannesburg
 from repro.hardware.library import grid
 
@@ -50,14 +50,14 @@ SPEEDUP_BAR = 5.0
 @pytest.mark.parametrize("name", CASES)
 def test_compile_speed_baseline(benchmark, name):
     circuit = get_benchmark(name)
-    result = benchmark(lambda: compile_baseline(circuit, DEVICE, seed=0))
+    result = benchmark(lambda: transpile(circuit, DEVICE, method="baseline", seed=0))
     assert result.two_qubit_gate_count > 0
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_compile_speed_trios(benchmark, name):
     circuit = get_benchmark(name)
-    result = benchmark(lambda: compile_trios(circuit, DEVICE, seed=0))
+    result = benchmark(lambda: transpile(circuit, DEVICE, method="trios", seed=0))
     assert result.two_qubit_gate_count > 0
 
 
@@ -101,7 +101,7 @@ def _best_compile_seconds(circuit, coupling_map, layout, repeats: int = 3) -> fl
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        result = compile_baseline(circuit, coupling_map, seed=5, layout=layout)
+        result = transpile(circuit, coupling_map, method="baseline", seed=5, layout=layout)
         best = min(best, time.perf_counter() - start)
         assert result.two_qubit_gate_count > 0
     return best
@@ -141,12 +141,11 @@ def pipeline_rates():
     rates = {}
     for name in CASES:
         circuit = get_benchmark(name)
-        for method, compiler in (("baseline", compile_baseline),
-                                 ("trios", compile_trios)):
+        for method in ("baseline", "trios"):
             best = float("inf")
             for _ in range(3):
                 start = time.perf_counter()
-                compiler(circuit, DEVICE, seed=0)
+                transpile(circuit, DEVICE, method=method, seed=0)
                 best = min(best, time.perf_counter() - start)
             rates[f"{method}/{name}"] = 1.0 / best
     return rates

@@ -3,7 +3,7 @@
 CI's service job runs this script.  It starts the CLI server as a subprocess,
 drives a small mixed stream over HTTP — a cold unique mix, a warm repeat, a
 burst of duplicates, malformed requests, a hostile QASM angle, malformed gate
-parameters — then checks ``/stats`` agrees with what the stream implies (hits
+parameters, invalid options — then checks ``/stats`` agrees with what the stream implies (hits
 observed, coalescing + caching held the pool compiles to at most one per
 unique key, the bad requests were 400s not casualties), asks for
 ``/shutdown``, and requires a clean exit code.
@@ -108,15 +108,26 @@ def main() -> int:
         assert status == 200 and body["status"] == "hit", (status, body)
         print("[smoke] malformed gate parameters rejected with 400; server still serving")
 
+        # An ill-typed option and a level-3-only knob at level 1 fail while
+        # the job is built: 400s that never reach the cache or the pool.
+        for options in ({"optimization_level": "1"}, {"jobs": 3}):
+            status, body = client.compile(
+                requests[0][0], "line-20", "baseline", {"seed": SEED, **options})
+            assert status == 400, (options, status, body)
+        status, body = client.compile(
+            requests[0][0], "line-20", "baseline", {"seed": SEED})
+        assert status == 200 and body["status"] == "hit", (status, body)
+        print("[smoke] invalid options rejected with 400; server still serving")
+
         status, stats = client.stats()
         assert status == 200
         service_stats = stats["service"]
         unique = len(requests)
         assert service_stats["misses"] == unique, service_stats
-        assert service_stats["hits"] == unique + 8, service_stats
+        assert service_stats["hits"] == unique + 9, service_stats
         assert service_stats["pool_compiles"] <= unique, service_stats
-        assert service_stats["errors"] == 5, service_stats
-        assert stats["cache"]["hits"] == unique + 8, stats["cache"]
+        assert service_stats["errors"] == 7, service_stats
+        assert stats["cache"]["hits"] == unique + 9, stats["cache"]
         assert stats["cache"]["entries"] == unique, stats["cache"]
         print(f"[smoke] stats consistent: {service_stats}")
 

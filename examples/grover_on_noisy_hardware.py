@@ -9,7 +9,7 @@ Run with:  python examples/grover_on_noisy_hardware.py
 """
 
 from repro.bench_circuits import grovers
-from repro.compiler import compile_baseline, compile_trios
+from repro.compiler import transpile
 from repro.hardware import johannesburg, near_term_calibration
 from repro.sim import get_backend
 
@@ -25,8 +25,8 @@ def main() -> None:
 
     shots = 2000
     for label, result in (
-        ("baseline", compile_baseline(program, device, seed=7)),
-        ("trios", compile_trios(program, device, seed=7)),
+        ("baseline", transpile(program, device, method="baseline", seed=7)),
+        ("trios", transpile(program, device, method="trios", seed=7)),
     ):
         sampler = get_backend("failure", calibration, seed=42)
         measured = result.physical_qubits_of(list(range(num_data)))

@@ -9,7 +9,7 @@ Run with:  python examples/noise_aware_compilation.py
 """
 
 from repro.bench_circuits import cnx_dirty
-from repro.compiler import compile_trios
+from repro.compiler import transpile
 from repro.hardware import johannesburg, johannesburg_aug19_2020
 
 
@@ -23,8 +23,8 @@ def main() -> None:
     print(f"Noisy couplers: {sorted(bad_edges)} at 15% CNOT error "
           f"(others {calibration.two_qubit_gate_error:.3%})\n")
 
-    unaware = compile_trios(program, device, seed=3)
-    aware = compile_trios(program, device, seed=3, calibration=calibration,
+    unaware = transpile(program, device, method="trios", seed=3)
+    aware = transpile(program, device, method="trios", seed=3, calibration=calibration,
                           noise_aware=True, layout="noise")
 
     for label, result in (("hop-count routing", unaware), ("noise-aware routing", aware)):

@@ -9,7 +9,7 @@ Run with:  python examples/quickstart.py
 """
 
 from repro.bench_circuits import cuccaro_adder
-from repro.compiler import compile_baseline, compile_trios
+from repro.compiler import transpile
 from repro.hardware import johannesburg, near_term_calibration
 
 
@@ -21,8 +21,8 @@ def main() -> None:
           f"{program.count_ops().get('ccx', 0)} Toffolis")
     print(f"Device:  {device.name} — {device.num_qubits} qubits, {len(device.edges)} couplers\n")
 
-    baseline = compile_baseline(program, device, seed=11)
-    trios = compile_trios(program, device, seed=11)
+    baseline = transpile(program, device, method="baseline", seed=11)
+    trios = transpile(program, device, method="trios", seed=11)
 
     header = f"{'':28s}{'baseline':>12s}{'trios':>12s}"
     print(header)

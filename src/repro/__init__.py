@@ -25,20 +25,20 @@ The package implements, from scratch, the full toolchain the paper needs:
 Quickstart::
 
     from repro.bench_circuits import cuccaro_adder
-    from repro.compiler import compile_baseline, compile_trios
+    from repro.compiler import transpile
     from repro.hardware import johannesburg, near_term_calibration
 
     device = johannesburg()
     circuit = cuccaro_adder(num_bits=9)
-    base = compile_baseline(circuit, device)
-    trios = compile_trios(circuit, device)
+    base = transpile(circuit, device, method="baseline")
+    trios = transpile(circuit, device, method="trios")
     print(base.two_qubit_gate_count, "->", trios.two_qubit_gate_count)
     cal = near_term_calibration()
     print(base.success_probability(cal), "->", trios.success_probability(cal))
 """
 
 from .circuits import QuantumCircuit, Gate, Instruction
-from .compiler import compile_baseline, compile_trios, transpile, CompilationResult, Target
+from .compiler import transpile, CompilationResult, Target
 from .hardware import (
     CouplingMap,
     johannesburg,
@@ -56,8 +56,6 @@ __all__ = [
     "QuantumCircuit",
     "Gate",
     "Instruction",
-    "compile_baseline",
-    "compile_trios",
     "transpile",
     "CompilationResult",
     "Target",

@@ -2,10 +2,10 @@
 
 A :class:`DagCircuit` captures the "happens before" relation induced by shared
 qubits (and shared classical bits) and is the representation every compiler
-pass runs on.  Unlike the original read-only ``CircuitDag``, it is *mutable*:
-passes rewrite it locally — substituting a node with its decomposition,
-removing a cancelled pair, splicing a synthesised gate before an anchor —
-without ever rebuilding a full instruction list.
+pass runs on.  It is *mutable*: passes rewrite it locally — substituting a
+node with its decomposition, removing a cancelled pair, splicing a
+synthesised gate before an anchor — without ever rebuilding a full
+instruction list.
 
 Representation.  Nodes live on a doubly-linked global sequence whose order is
 always a valid topological order (it starts as program order and every edit
@@ -16,10 +16,9 @@ O(n) :meth:`to_circuit` that emits exactly the linearisation the pass pipeline
 built — which is what keeps compiled circuits byte-identical across the
 list-IR → DAG-IR refactor.
 
-``CircuitDag`` remains as a backwards-compatible alias: ``CircuitDag(circuit)``
-builds the DAG of a circuit, and the legacy index-based ``successors`` /
-``predecessors`` / ``front_layer`` / ``layers`` / ``weighted_depth`` queries
-keep working.
+``DagCircuit(circuit)`` builds the DAG of a circuit, which also answers the
+index-based ``successors`` / ``predecessors`` / ``front_layer`` / ``layers`` /
+``weighted_depth`` queries.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ class DagNode:
 
     ``index`` is the node's creation order inside its DAG, which for a DAG
     built by :meth:`DagCircuit.from_circuit` equals the instruction's position
-    in the source circuit (the legacy ``CircuitDag`` contract).
+    in the source circuit.
     """
 
     __slots__ = (
@@ -626,10 +625,6 @@ class DagCircuit:
             f"DagCircuit(name={self.name!r}, qubits={self.num_qubits}, "
             f"nodes={self._size})"
         )
-
-
-#: Backwards-compatible alias: ``CircuitDag(circuit)`` builds the circuit's DAG.
-CircuitDag = DagCircuit
 
 
 def circuit_layers(circuit: QuantumCircuit) -> List[List[Instruction]]:

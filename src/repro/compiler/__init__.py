@@ -4,9 +4,9 @@ from .pipeline import (
     DEFAULT_SEED_TRIALS,
     PIPELINES,
     STAGE_BUILDERS,
+    TranspileOptions,
     build_pass_manager,
-    compile_baseline,
-    compile_trios,
+    run_transpile,
     transpile,
 )
 from ..hardware.target import Target
@@ -18,8 +18,8 @@ __all__ = [
     "STAGE_BUILDERS",
     "build_pass_manager",
     "Target",
-    "compile_baseline",
-    "compile_trios",
+    "TranspileOptions",
+    "run_transpile",
     "transpile",
     "CompilationResult",
     "gate_reduction",

@@ -17,17 +17,29 @@ option set, so new pipelines are a new name list away.  The optimisation stage
 wraps the clean-up passes in a :class:`~repro.passes.base.FixedPoint` loop
 that iterates cancellation/consolidation to convergence.
 
-:func:`compile_baseline` and :func:`compile_trios` remain as thin shims over
-:func:`transpile` for the experiment harnesses and historical callers; their
-outputs are byte-identical to the pre-DAG pipelines (the equivalence tests
-pin this against frozen hashes).
+Every compile option is named, defaulted and validated in one frozen
+:class:`TranspileOptions`: :func:`transpile` resolves its keywords into it
+once, the stage builders read it, and the compile service keys its cache on
+its canonical rendering.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+import numbers
+from dataclasses import dataclass, fields, replace
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from .. import obs
 from ..analysis.contracts import resolve_validation_mode
@@ -58,7 +70,233 @@ from ..passes.toffoli import MappingAwareToffoliDecomposePass, ToffoliDecomposeP
 from ..passes.trios_routing import TriosRouter
 from .result import CompilationResult, check_connectivity
 
-LayoutSpec = Union[str, Layout, Mapping[int, int]]
+#: A resolved layout: a strategy name or sorted (logical, physical) pairs.
+LayoutSpec = Union[str, Tuple[Tuple[int, int], ...]]
+
+#: Layout/routing seeds tried by the level-3 search when ``seed_trials`` is
+#: not given.
+DEFAULT_SEED_TRIALS = 4
+
+#: Stage-conditional options: (option, consuming stage, default, accepted
+#: values).  An option whose consuming stage is absent from the pipeline is
+#: rejected — an ablation silently falling back to the default is a bug.
+_STAGE_OPTIONS: Tuple[Tuple[str, str, Any, Tuple[Any, ...]], ...] = (
+    ("toffoli_mode", "unroll", "6cnot", ("6cnot", "8cnot")),
+    (
+        "second_decomposition",
+        "second_decompose",
+        "mapping_aware",
+        ("mapping_aware", "6cnot", "8cnot"),
+    ),
+    ("overlap_optimization", "route_trios", True, (True, False)),
+)
+
+
+def _integer(name: str, value: Any, minimum: Optional[int] = None) -> int:
+    """``value`` as a plain int; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TranspilerError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise TranspilerError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _resolve_layout(layout: Any) -> LayoutSpec:
+    """A strategy name, or a placement as sorted (logical, physical) pairs."""
+    if isinstance(layout, Layout):
+        layout = layout.to_dict()
+    elif isinstance(layout, tuple):
+        layout = dict(layout)
+    if isinstance(layout, Mapping):
+        pairs = tuple(
+            sorted(
+                (_integer("layout logical qubit", logical, 0),
+                 _integer("layout physical qubit", physical, 0))
+                for logical, physical in layout.items()
+            )
+        )
+        if len({physical for _, physical in pairs}) != len(pairs):
+            raise TranspilerError(
+                f"layout {dict(pairs)} places two logical qubits on one "
+                f"physical qubit"
+            )
+        return pairs
+    if layout not in ("trivial", "greedy", "noise"):
+        raise TranspilerError(f"unknown layout specification {layout!r}")
+    return layout
+
+
+@dataclass(frozen=True)
+class TranspileOptions:
+    """The one resolved option set of a compile: names, defaults, rules.
+
+    Constructing one validates every field and fills the method-dependent
+    defaults, so an instance is always fully resolved and two instances are
+    equal exactly when they compile the same way.  :func:`transpile` builds
+    one from its keywords; the compile service keys its cache on
+    :meth:`canonical`.
+
+    Attributes:
+        method: Pipeline name — ``"trios"`` (Figure 2b), ``"baseline"``
+            (Figure 2a) or ``"greedy-depth"``; see :data:`PIPELINES`.
+        layout: Placement strategy (``"trivial"``/``"greedy"``/``"noise"``),
+            or an explicit :class:`Layout` or logical→physical mapping,
+            stored as sorted ``(logical, physical)`` pairs.
+        optimization_level: ``0`` only expands routing SWAPs; ``1`` (default)
+            additionally iterates the light clean-up passes (CNOT
+            cancellation, 1q consolidation, identity removal) to a fixed
+            point after routing; ``2`` also runs the same loop on the
+            decomposed program *before* placement; ``3`` additionally runs
+            the commutation-aware cancellation loop
+            (:class:`~repro.passes.commutation.CommutativeCancellationPass`)
+            after the level-2 loop converges *and* searches ``seed_trials``
+            layout/routing seeds, keeping the candidate with the best
+            estimated success probability among those that do not regress
+            the base seed's CNOT count or depth — so a level-3 compile never
+            has more CNOTs or greater depth than the level-2 compile with
+            the same seed.
+        seed: RNG seed for the stochastic routing policy; ``None`` draws
+            from an unseeded RNG.
+        routing: ``"stochastic"`` models Qiskit 0.14's stochastic swap policy
+            (the paper's baseline); ``"greedy"`` is deterministic
+            shortest-path routing.
+        noise_aware: Use ``-log`` CNOT-success edge weights when routing
+            (requires a calibrated target).
+        toffoli_mode: Up-front Toffoli decomposition of pipelines with an
+            ``unroll`` stage — ``"6cnot"`` (Qiskit's default, also the
+            default here) or ``"8cnot"``.
+        second_decomposition: Trios' post-routing decomposition —
+            ``"mapping_aware"`` (the paper's contribution, the default),
+            ``"6cnot"`` or ``"8cnot"`` for the ablations.
+        overlap_optimization: Trios' "ending points overlap" SWAP saving
+            (default on).
+        seed_trials: Layout/routing seeds the level-3 search tries (default
+            :data:`DEFAULT_SEED_TRIALS`).
+        jobs: Worker processes for the level-3 seed search, run on the
+            fault-tolerant runtime (:mod:`repro.runtime`): faulted candidate
+            seeds are dropped and the base seed always survives.  ``0``
+            means all CPUs; results are identical to ``jobs=1``.
+        validate: ``False`` disables all checking.  Any other value keeps
+            the final coupling-map connectivity check and additionally
+            selects the pass-contract validation mode (see
+            :mod:`repro.analysis.contracts`): ``True`` defers to the
+            ``REPRO_VALIDATE`` environment variable, ``"contracts"`` checks
+            declared pass contracts between stages, ``"full"`` also lints
+            the IR structurally and re-verifies held invariants after every
+            pass, attributing the first violation to the offending pass.
+
+    The three stage-conditional options (``toffoli_mode``,
+    ``second_decomposition``, ``overlap_optimization``) resolve to ``None``
+    for pipelines without their consuming stage and are rejected there when
+    given; ``seed_trials`` and ``jobs`` are likewise rejected below
+    ``optimization_level=3``.  Integer options reject bools, floats and
+    strings.
+    """
+
+    method: str = "trios"
+    layout: LayoutSpec = "greedy"
+    optimization_level: int = 1
+    seed: Optional[int] = 2021
+    routing: str = "stochastic"
+    noise_aware: bool = False
+    toffoli_mode: Optional[str] = None
+    second_decomposition: Optional[str] = None
+    overlap_optimization: Optional[bool] = None
+    seed_trials: Optional[int] = None
+    jobs: int = 1
+    validate: Union[None, bool, str] = True
+
+    #: Options that cannot change the compiled circuit — only how it is
+    #: produced or checked — and so stay out of :meth:`canonical`.
+    NON_SEMANTIC: ClassVar[FrozenSet[str]] = frozenset({"jobs", "validate"})
+
+    @classmethod
+    def resolve(cls, method: str, options: Mapping[str, Any]) -> "TranspileOptions":
+        """Resolve ``transpile()`` keywords, rejecting unknown names."""
+        unknown = set(options) - _OPTION_NAMES
+        if unknown:
+            raise TranspilerError(
+                f"unknown transpile option(s) {sorted(unknown)}; "
+                f"valid options: {sorted(_OPTION_NAMES)}"
+            )
+        return cls(method, **options)
+
+    def __post_init__(self) -> None:
+        resolved: Dict[str, Any] = {}
+        try:
+            stage_names = PIPELINES[self.method]
+        except (KeyError, TypeError) as exc:
+            raise TranspilerError(
+                f"unknown compilation method {self.method!r}"
+            ) from exc
+        resolved["layout"] = _resolve_layout(self.layout)
+        level = _integer("optimization_level", self.optimization_level)
+        if not 0 <= level <= 3:
+            raise TranspilerError(f"invalid optimization_level {level}")
+        resolved["optimization_level"] = level
+        if self.seed is not None:
+            resolved["seed"] = _integer("seed", self.seed)
+        if self.routing not in ("stochastic", "greedy"):
+            raise TranspilerError(f"unknown routing policy {self.routing!r}")
+        if not isinstance(self.noise_aware, bool):
+            raise TranspilerError(
+                f"noise_aware must be a boolean, got {self.noise_aware!r}"
+            )
+        for name, consumer, default, accepted in _STAGE_OPTIONS:
+            value = getattr(self, name)
+            if consumer not in stage_names:
+                if value is not None:
+                    raise TranspilerError(
+                        f"{name}={value!r} has no effect: pipeline "
+                        f"{self.method!r} has no {consumer!r} stage"
+                    )
+            elif value is None:
+                resolved[name] = default
+            elif type(value) is not type(default) or value not in accepted:
+                raise TranspilerError(f"unknown {name} {value!r}")
+        jobs = _integer("jobs", self.jobs, 0)
+        resolved["jobs"] = jobs
+        if level < 3:
+            # Search knobs silently ignored by the lower levels are bugs at
+            # the call site, exactly like pipeline-less options above.
+            if self.seed_trials is not None:
+                raise TranspilerError(
+                    f"seed_trials={self.seed_trials!r} has no effect below "
+                    f"optimization_level=3"
+                )
+            if jobs != 1:
+                raise TranspilerError(
+                    f"jobs={jobs!r} has no effect below optimization_level=3"
+                )
+        elif self.seed_trials is None:
+            resolved["seed_trials"] = DEFAULT_SEED_TRIALS
+        else:
+            resolved["seed_trials"] = _integer("seed_trials", self.seed_trials, 1)
+        if not isinstance(self.validate, bool):
+            resolve_validation_mode(self.validate)
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def label(self) -> str:
+        """The method string of the compiled result (``"baseline-6cnot"``, ...)."""
+        if self.method == "baseline":
+            return f"baseline-{self.toffoli_mode}"
+        if self.second_decomposition is not None:
+            return f"{self.method}-{self.second_decomposition}"
+        return self.method
+
+    def canonical(self) -> str:
+        """Every semantic field, rendered in field order for a content key."""
+        return ";".join(
+            f"{item.name}={getattr(self, item.name)!r}"
+            for item in fields(self)
+            if item.name not in self.NON_SEMANTIC
+        )
+
+
+#: Every keyword :func:`transpile` accepts as an option.
+_OPTION_NAMES = frozenset(item.name for item in fields(TranspileOptions)) - {"method"}
 
 
 def _layout_pass(
@@ -66,43 +304,29 @@ def _layout_pass(
     coupling_map: CouplingMap,
     calibration: Optional[DeviceCalibration],
 ) -> BasePass:
-    """Build the placement pass from a layout specification.
-
-    ``layout`` may be ``"trivial"``, ``"greedy"``, ``"noise"``, an explicit
-    :class:`Layout`, or a logical→physical mapping dict.
-    """
-    if isinstance(layout, Layout):
-        return FixedLayoutPass(coupling_map, layout.to_dict())
-    if isinstance(layout, Mapping):
-        return FixedLayoutPass(coupling_map, layout)
+    """Build the placement pass for a resolved layout specification."""
+    if isinstance(layout, tuple):
+        return FixedLayoutPass(coupling_map, dict(layout))
     if layout == "trivial":
         return TrivialLayoutPass(coupling_map)
     if layout == "greedy":
         return GreedyInteractionLayoutPass(coupling_map)
-    if layout == "noise":
-        if calibration is None:
-            raise TranspilerError("noise-aware layout requires a calibration")
-        return NoiseAwareLayoutPass(coupling_map, calibration)
-    raise TranspilerError(f"unknown layout specification {layout!r}")
+    if calibration is None:
+        raise TranspilerError("noise-aware layout requires a calibration")
+    return NoiseAwareLayoutPass(coupling_map, calibration)
 
 
 # ----------------------------------------------------------------------
 # Stage builders
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class _TranspileContext:
-    """Everything a stage builder may need, resolved once per transpile call."""
+    """What a stage builder reads: the options plus what they cannot say."""
 
+    options: TranspileOptions
     target: Target
-    layout: LayoutSpec
-    optimization_level: int
-    seed: Optional[int]
-    routing: str
-    toffoli_mode: str
-    second_decomposition: str
-    overlap_optimization: bool
     edge_weights: Optional[Mapping[Tuple[int, int], float]]
-    validate_mode: Union[None, bool, str] = None
+    validate_mode: str
 
 
 def _cleanup_loop() -> FixedPoint:
@@ -140,7 +364,9 @@ def _stage_unroll(ctx: _TranspileContext) -> Stage:
         "decompose",
         [
             DecomposeToBasisPass(
-                basis=ctx.target.basis_gates, keep=(), toffoli_mode=ctx.toffoli_mode
+                basis=ctx.target.basis_gates,
+                keep=(),
+                toffoli_mode=ctx.options.toffoli_mode,
             )
         ],
     )
@@ -156,7 +382,7 @@ def _stage_unroll_keep_toffoli(ctx: _TranspileContext) -> Stage:
 def _stage_pre_optimize(ctx: _TranspileContext) -> Optional[Stage]:
     # Level 2+: clean the decomposed program *before* placement/routing too,
     # so routing never pays for gates the clean-up would have removed.
-    if ctx.optimization_level < 2:
+    if ctx.options.optimization_level < 2:
         return None
     return Stage("pre_optimize", [_cleanup_loop()])
 
@@ -164,7 +390,11 @@ def _stage_pre_optimize(ctx: _TranspileContext) -> Optional[Stage]:
 def _stage_layout(ctx: _TranspileContext) -> Stage:
     return Stage(
         "layout",
-        [_layout_pass(ctx.layout, ctx.target.coupling_map, ctx.target.calibration)],
+        [
+            _layout_pass(
+                ctx.options.layout, ctx.target.coupling_map, ctx.target.calibration
+            )
+        ],
     )
 
 
@@ -175,8 +405,8 @@ def _stage_route_pairs(ctx: _TranspileContext) -> Stage:
             GreedySwapRouter(
                 ctx.target.coupling_map,
                 edge_weights=ctx.edge_weights,
-                stochastic=(ctx.routing == "stochastic"),
-                seed=ctx.seed,
+                stochastic=(ctx.options.routing == "stochastic"),
+                seed=ctx.options.seed,
             )
         ],
     )
@@ -189,19 +419,20 @@ def _stage_route_trios(ctx: _TranspileContext) -> Stage:
             TriosRouter(
                 ctx.target.coupling_map,
                 edge_weights=ctx.edge_weights,
-                overlap_optimization=ctx.overlap_optimization,
-                stochastic=(ctx.routing == "stochastic"),
-                seed=ctx.seed,
+                overlap_optimization=ctx.options.overlap_optimization,
+                stochastic=(ctx.options.routing == "stochastic"),
+                seed=ctx.options.seed,
             )
         ],
     )
 
 
 def _stage_second_decompose(ctx: _TranspileContext) -> Stage:
-    if ctx.second_decomposition == "mapping_aware":
+    mode = ctx.options.second_decomposition
+    if mode == "mapping_aware":
         second: BasePass = MappingAwareToffoliDecomposePass(ctx.target.coupling_map)
     else:
-        second = ToffoliDecomposePass(mode=ctx.second_decomposition)
+        second = ToffoliDecomposePass(mode=mode)
     return Stage("second_decompose", [second])
 
 
@@ -226,7 +457,7 @@ def _stage_route_pairs_greedy(ctx: _TranspileContext) -> Stage:
                 ctx.target.coupling_map,
                 edge_weights=ctx.edge_weights,
                 stochastic=False,
-                seed=ctx.seed,
+                seed=ctx.options.seed,
             )
         ],
     )
@@ -234,9 +465,9 @@ def _stage_route_pairs_greedy(ctx: _TranspileContext) -> Stage:
 
 def _stage_optimize(ctx: _TranspileContext) -> Stage:
     passes: List[BasePass] = [DecomposeSwapsPass()]
-    if ctx.optimization_level >= 1:
+    if ctx.options.optimization_level >= 1:
         passes.append(_cleanup_loop())
-    if ctx.optimization_level >= 3:
+    if ctx.options.optimization_level >= 3:
         # Appended after the level-2 loop converged: level 3 is additive.
         passes.append(_commutation_loop())
     return Stage("optimize", passes)
@@ -293,13 +524,9 @@ PIPELINES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def build_pass_manager(method: str, ctx: _TranspileContext) -> PassManager:
-    """Assemble the :class:`PassManager` for one named pipeline."""
-    try:
-        stage_names = PIPELINES[method]
-    except KeyError as exc:
-        raise TranspilerError(f"unknown compilation method {method!r}") from exc
-    return _build_partial_manager(stage_names, ctx)
+def build_pass_manager(ctx: _TranspileContext) -> PassManager:
+    """Assemble the :class:`PassManager` for the context's pipeline."""
+    return _build_partial_manager(PIPELINES[ctx.options.method], ctx)
 
 
 def _build_partial_manager(
@@ -329,24 +556,16 @@ def _split_stage_names(method: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     each candidate re-runs.  A pipeline without a ``"layout"`` stage gets an
     empty prefix — every stage re-runs per candidate, which is always correct.
     """
-    try:
-        stage_names = PIPELINES[method]
-    except KeyError as exc:
-        raise TranspilerError(f"unknown compilation method {method!r}") from exc
-    try:
-        split = stage_names.index(_SEED_SEARCH_SPLIT_STAGE)
-    except ValueError:
+    stage_names = PIPELINES[method]
+    if _SEED_SEARCH_SPLIT_STAGE not in stage_names:
         return (), stage_names
+    split = stage_names.index(_SEED_SEARCH_SPLIT_STAGE)
     return stage_names[:split], stage_names[split:]
 
 
 # ----------------------------------------------------------------------
 # The unified entry point
 # ----------------------------------------------------------------------
-#: Layout/routing seeds tried by the level-3 search when ``seed_trials`` is
-#: not given.
-DEFAULT_SEED_TRIALS = 4
-
 #: Stride between the level-3 candidate seeds.  A large prime, so candidate
 #: streams do not collide with the neighbouring base seeds sweeps use.
 _SEED_STRIDE = 9973
@@ -357,19 +576,8 @@ def transpile(
     target: Union[Target, CouplingMap],
     method: str = "trios",
     *,
-    layout: LayoutSpec = "greedy",
-    optimization_level: Optional[int] = None,
-    seed: Optional[int] = 2021,
-    routing: str = "stochastic",
-    noise_aware: bool = False,
-    toffoli_mode: Optional[str] = None,
-    second_decomposition: Optional[str] = None,
-    overlap_optimization: Optional[bool] = None,
     calibration: Optional[DeviceCalibration] = None,
-    optimize: Optional[bool] = None,
-    validate: Union[bool, str] = True,
-    seed_trials: Optional[int] = None,
-    jobs: int = 1,
+    **options: Any,
 ) -> CompilationResult:
     """Compile ``circuit`` for ``target`` with a named pipeline.
 
@@ -379,164 +587,56 @@ def transpile(
             :class:`CouplingMap` (promoted to an uncalibrated target).
         method: Pipeline name — ``"trios"`` (Figure 2b) or ``"baseline"``
             (Figure 2a); see :data:`PIPELINES`.
-        layout: Placement strategy (``"trivial"``/``"greedy"``/``"noise"``),
-            an explicit :class:`Layout`, or a logical→physical mapping dict.
-        optimization_level: ``0`` only expands routing SWAPs; ``1`` (default)
-            additionally iterates the light clean-up passes (CNOT
-            cancellation, 1q consolidation, identity removal) to a fixed
-            point after routing; ``2`` also runs the same loop on the
-            decomposed program *before* placement; ``3`` additionally runs
-            the commutation-aware cancellation loop
-            (:class:`~repro.passes.commutation.CommutativeCancellationPass`)
-            after the level-2 loop converges *and* searches ``seed_trials``
-            layout/routing seeds, keeping the candidate with the best
-            estimated success probability among those that do not regress
-            the base seed's CNOT count or depth — so a level-3 compile never
-            has more CNOTs or greater depth than the level-2 compile with
-            the same seed.
-        seed: RNG seed for the stochastic routing policy.
-        routing: ``"stochastic"`` models Qiskit 0.14's stochastic swap policy
-            (the paper's baseline); ``"greedy"`` is deterministic
-            shortest-path routing.
-        noise_aware: Use ``-log`` CNOT-success edge weights when routing
-            (requires a calibrated target).
-        toffoli_mode: Up-front Toffoli decomposition for the baseline flow —
-            ``"6cnot"`` (Qiskit's default, also the default here) or
-            ``"8cnot"``.  Rejected when the selected pipeline has no
-            ``unroll`` stage (e.g. ``method="trios"``).
-        second_decomposition: Trios' post-routing decomposition —
-            ``"mapping_aware"`` (the paper's contribution, the default),
-            ``"6cnot"`` or ``"8cnot"`` for the ablations.  Rejected when the
-            selected pipeline has no ``second_decompose`` stage.
-        overlap_optimization: Trios' "ending points overlap" SWAP saving
-            (default on).  Rejected when the selected pipeline has no
-            ``route_trios`` stage.
-        calibration: Convenience: folded into an uncalibrated target.
-        optimize: Legacy boolean; maps to optimization level 1 (True) / 0
-            (False) when ``optimization_level`` is not given.
-        validate: ``False`` disables all checking.  Any other value keeps
-            the final coupling-map connectivity check and additionally
-            selects the pass-contract validation mode (see
-            :mod:`repro.analysis.contracts`): ``True`` defers to the
-            ``REPRO_VALIDATE`` environment variable, ``"contracts"`` checks
-            declared pass contracts between stages, ``"full"`` also lints
-            the IR structurally and re-verifies held invariants after every
-            pass, attributing the first violation to the offending pass.
-        seed_trials: Number of layout/routing seeds the level-3 search
-            tries (default :data:`DEFAULT_SEED_TRIALS`); only meaningful —
-            and only accepted — at ``optimization_level=3``.
-        jobs: Worker processes for the level-3 seed search, run on the
-            fault-tolerant runtime (:mod:`repro.runtime`): faulted candidate
-            seeds are dropped and the base seed always survives, so the
-            search cannot fail because of a flaky worker.  ``0`` means all
-            CPUs; results are identical to ``jobs=1``.  Only accepted at
-            ``optimization_level=3``.
+        calibration: Folded into an uncalibrated target.
+        **options: Resolved once into a :class:`TranspileOptions`, whose
+            fields name every option with its default and rejection rules;
+            an unknown name raises :class:`TranspilerError`.
 
     Returns:
         A :class:`CompilationResult` carrying the compiled circuit, the
         target, the layouts, and per-pass telemetry (``pass_timings``).
     """
-    resolved = Target.of(target, calibration)
-    if optimization_level is None:
-        optimization_level = 1 if (optimize is None or optimize) else 0
-    elif optimize is not None:
-        raise TranspilerError("pass either optimization_level or optimize, not both")
-    if not 0 <= optimization_level <= 3:
-        raise TranspilerError(f"invalid optimization_level {optimization_level}")
-    if optimization_level < 3:
-        # Search knobs silently ignored by the lower levels are bugs at the
-        # call site, exactly like pipeline-less options below.
-        if seed_trials is not None:
-            raise TranspilerError(
-                f"seed_trials={seed_trials!r} has no effect below "
-                f"optimization_level=3"
-            )
-        if jobs != 1:
-            raise TranspilerError(
-                f"jobs={jobs!r} has no effect below optimization_level=3"
-            )
-    if seed_trials is not None and seed_trials < 1:
-        raise TranspilerError(f"seed_trials must be >= 1, got {seed_trials}")
-    if routing not in ("stochastic", "greedy"):
-        raise TranspilerError(f"unknown routing policy {routing!r}")
-    try:
-        stage_names = PIPELINES[method]
-    except KeyError as exc:
-        raise TranspilerError(f"unknown compilation method {method!r}") from exc
-    # Reject options the selected pipeline would silently ignore — an ablation
-    # run passing e.g. second_decomposition to the baseline flow is a bug.
-    for option, value, consumer in (
-        ("toffoli_mode", toffoli_mode, "unroll"),
-        ("second_decomposition", second_decomposition, "second_decompose"),
-        ("overlap_optimization", overlap_optimization, "route_trios"),
-    ):
-        if value is not None and consumer not in stage_names:
-            raise TranspilerError(
-                f"{option}={value!r} has no effect: pipeline {method!r} has "
-                f"no {consumer!r} stage"
-            )
-    toffoli_mode = toffoli_mode if toffoli_mode is not None else "6cnot"
-    if second_decomposition is None:
-        second_decomposition = "mapping_aware"
-    if overlap_optimization is None:
-        overlap_optimization = True
-    if toffoli_mode not in ("6cnot", "8cnot"):
-        raise TranspilerError(f"unknown toffoli_mode {toffoli_mode!r}")
-    if second_decomposition not in ("mapping_aware", "6cnot", "8cnot"):
-        raise TranspilerError(
-            f"unknown second_decomposition {second_decomposition!r}"
-        )
+    return run_transpile(
+        circuit,
+        Target.of(target, calibration),
+        TranspileOptions.resolve(method, options),
+    )
+
+
+def run_transpile(
+    circuit: QuantumCircuit,
+    target: Union[Target, CouplingMap],
+    options: TranspileOptions,
+) -> CompilationResult:
+    """Compile ``circuit`` with an already-resolved :class:`TranspileOptions`."""
+    target = Target.of(target)
     edge_weights = None
-    if noise_aware:
-        if resolved.calibration is None:
+    if options.noise_aware:
+        if target.calibration is None:
             raise TranspilerError("noise-aware routing requires a calibration")
-        edge_weights = resolved.noise_edge_weights()
+        edge_weights = target.noise_edge_weights()
     # validate=False turns everything off; validate=True defers the contract
     # mode to the environment (REPRO_VALIDATE); an explicit string picks it.
+    validate = options.validate
     if validate is False:
-        validate_mode: Union[None, bool, str] = "off"
-    elif validate is True:
-        validate_mode = None
+        validate_mode = "off"
     else:
-        validate_mode = validate
-    validate_mode = resolve_validation_mode(validate_mode)
-    ctx = _TranspileContext(
-        target=resolved,
-        layout=layout,
-        optimization_level=optimization_level,
-        seed=seed,
-        routing=routing,
-        toffoli_mode=toffoli_mode,
-        second_decomposition=second_decomposition,
-        overlap_optimization=overlap_optimization,
-        edge_weights=edge_weights,
-        validate_mode=validate_mode,
-    )
-    if method == "baseline":
-        method_label = f"baseline-{toffoli_mode}"
-    elif "second_decompose" in stage_names:
-        method_label = f"{method}-{second_decomposition}"
-    else:
-        method_label = method
+        validate_mode = resolve_validation_mode(None if validate is True else validate)
+    ctx = _TranspileContext(options, target, edge_weights, validate_mode)
     obs.maybe_enable_from_env()
     with obs.span(
         "transpile",
         category="compiler",
         source=circuit.name,
-        method=method_label,
-        optimization_level=optimization_level,
+        method=options.label,
+        optimization_level=options.optimization_level,
         qubits=circuit.num_qubits,
     ):
-        if optimization_level >= 3:
-            compiled, properties = _run_seed_search(
-                circuit, method, ctx, seed_trials, jobs
-            )
+        if options.optimization_level >= 3:
+            compiled, properties = _run_seed_search(circuit, ctx)
         else:
-            manager = build_pass_manager(method, ctx)
-            compiled, properties = manager.run(circuit)
-        return _finish(
-            compiled, properties, resolved, method_label, circuit.name, validate
-        )
+            compiled, properties = build_pass_manager(ctx).run(circuit)
+        return _finish(compiled, properties, ctx, circuit.name)
 
 
 # ----------------------------------------------------------------------
@@ -553,7 +653,7 @@ def _candidate_seeds(seed: Optional[int], trials: int) -> List[Optional[int]]:
 
 def _seed_candidate(
     payload: Tuple[
-        "_TranspileContext", str, QuantumCircuit, Optional[PropertySet], Optional[int]
+        _TranspileContext, QuantumCircuit, Optional[PropertySet], Optional[int]
     ]
 ):
     """Compile and score one level-3 candidate; process-pool entry point.
@@ -566,13 +666,13 @@ def _seed_candidate(
     object).  ``prefix_properties=None`` means no prefix ran — the candidate
     compiles the full pipeline itself.
     """
-    base_ctx, method, circuit, prefix_properties, candidate_seed = payload
-    ctx = replace(base_ctx, seed=candidate_seed)
+    base_ctx, circuit, prefix_properties, candidate_seed = payload
+    ctx = replace(base_ctx, options=replace(base_ctx.options, seed=candidate_seed))
     if prefix_properties is None:
-        manager = build_pass_manager(method, ctx)
+        manager = build_pass_manager(ctx)
         properties = None
     else:
-        _, suffix_names = _split_stage_names(method)
+        _, suffix_names = _split_stage_names(ctx.options.method)
         manager = _build_partial_manager(suffix_names, ctx)
         properties = copy.deepcopy(prefix_properties)
     with obs.span(
@@ -587,11 +687,7 @@ def _seed_candidate(
 
 
 def _run_seed_search(
-    circuit: QuantumCircuit,
-    method: str,
-    ctx: _TranspileContext,
-    seed_trials: Optional[int],
-    jobs: int,
+    circuit: QuantumCircuit, ctx: _TranspileContext
 ) -> Tuple[QuantumCircuit, PropertySet]:
     """Compile ``seed_trials`` candidates and keep the best admissible one.
 
@@ -618,10 +714,9 @@ def _run_seed_search(
     ``tests/test_transpile.py`` pins byte-identity against the full per-seed
     pipeline).
     """
-    jobs = resolve_jobs(jobs)
-    trials = seed_trials if seed_trials is not None else DEFAULT_SEED_TRIALS
-    seeds = _candidate_seeds(ctx.seed, trials)
-    prefix_names, _ = _split_stage_names(method)
+    jobs = resolve_jobs(ctx.options.jobs)
+    seeds = _candidate_seeds(ctx.options.seed, ctx.options.seed_trials)
+    prefix_names, _ = _split_stage_names(ctx.options.method)
     prefix_properties: Optional[PropertySet] = None
     with obs.span(
         "seed_search", category="compiler.seed_search", trials=len(seeds), jobs=jobs
@@ -631,7 +726,7 @@ def _run_seed_search(
                 prefix_names, ctx
             ).run(circuit)
         payloads = [
-            (ctx, method, circuit, prefix_properties, candidate_seed)
+            (ctx, circuit, prefix_properties, candidate_seed)
             for candidate_seed in seeds
         ]
         runner = CellRunner(
@@ -698,88 +793,24 @@ def _run_seed_search(
 def _finish(
     circuit: QuantumCircuit,
     properties: PropertySet,
-    target: Target,
-    method: str,
+    ctx: _TranspileContext,
     source_name: str,
-    validate: Union[bool, str],
 ) -> CompilationResult:
+    validate = ctx.options.validate
     if validate is not False and validate != "off":
-        violations = check_connectivity(circuit, target.coupling_map)
+        violations = check_connectivity(circuit, ctx.target.coupling_map)
         if violations:
             raise TranspilerError(
                 f"compiled circuit violates the coupling map: {violations[:3]}"
             )
     return CompilationResult(
         circuit=circuit,
-        coupling_map=target.coupling_map,
-        method=method,
+        coupling_map=ctx.target.coupling_map,
+        method=ctx.options.label,
         initial_layout=properties["initial_layout"],
         final_layout=properties["final_layout"],
         swaps_inserted=properties.get("swaps_inserted", 0),
         source_name=source_name,
         properties=properties,
-        target=target,
-    )
-
-
-# ----------------------------------------------------------------------
-# Legacy shims (the historical two-function API)
-# ----------------------------------------------------------------------
-def compile_baseline(
-    circuit: QuantumCircuit,
-    coupling_map: Union[Target, CouplingMap],
-    *,
-    toffoli_mode: str = "6cnot",
-    layout: LayoutSpec = "greedy",
-    calibration: Optional[DeviceCalibration] = None,
-    noise_aware: bool = False,
-    routing: str = "stochastic",
-    seed: Optional[int] = 2021,
-    optimize: bool = True,
-    validate: bool = True,
-) -> CompilationResult:
-    """Conventional compilation (Figure 2a) — shim over :func:`transpile`."""
-    return transpile(
-        circuit,
-        coupling_map,
-        method="baseline",
-        toffoli_mode=toffoli_mode,
-        layout=layout,
-        calibration=calibration,
-        noise_aware=noise_aware,
-        routing=routing,
-        seed=seed,
-        optimize=optimize,
-        validate=validate,
-    )
-
-
-def compile_trios(
-    circuit: QuantumCircuit,
-    coupling_map: Union[Target, CouplingMap],
-    *,
-    second_decomposition: str = "mapping_aware",
-    layout: LayoutSpec = "greedy",
-    calibration: Optional[DeviceCalibration] = None,
-    noise_aware: bool = False,
-    overlap_optimization: bool = True,
-    routing: str = "stochastic",
-    seed: Optional[int] = 2021,
-    optimize: bool = True,
-    validate: bool = True,
-) -> CompilationResult:
-    """Orchestrated Trios compilation (Figure 2b) — shim over :func:`transpile`."""
-    return transpile(
-        circuit,
-        coupling_map,
-        method="trios",
-        second_decomposition=second_decomposition,
-        layout=layout,
-        calibration=calibration,
-        noise_aware=noise_aware,
-        overlap_optimization=overlap_optimization,
-        routing=routing,
-        seed=seed,
-        optimize=optimize,
-        validate=validate,
+        target=ctx.target,
     )

@@ -391,19 +391,11 @@ def _run_compile(benchmark: str, pipeline: str, topology: str, seed: int,
                  jobs: int = 1) -> None:
     circuit = get_benchmark(benchmark)
     coupling_map = by_name(topology)
-    extra = {}
-    if optimization_level >= 3:
-        extra = dict(seed_trials=seed_trials, jobs=jobs)
-    else:
-        # Forward explicitly-given search knobs even below level 3 so
-        # transpile()'s "has no effect" rejection surfaces instead of the
-        # CLI silently running a plain compile.
-        if seed_trials is not None:
-            extra["seed_trials"] = seed_trials
-        if jobs != 1:
-            extra["jobs"] = jobs
+    # The search knobs are always forwarded: below level 3 their defaults
+    # pass and any other value hits transpile()'s "has no effect" rejection.
     compiled = transpile(circuit, coupling_map, method=pipeline, seed=seed,
-                         optimization_level=optimization_level, **extra)
+                         optimization_level=optimization_level,
+                         seed_trials=seed_trials, jobs=jobs)
     calibration = near_term_calibration()
     print(f"[compile] {benchmark} with the {pipeline!r} pipeline "
           f"on {topology} (seed {seed}, O{optimization_level})\n")

@@ -52,8 +52,7 @@ CONFIGURATIONS = (
 )
 
 #: Each configuration's (pipeline, transpile options) — the declarative form
-#: the content-addressed job API consumes, replacing the historical
-#: ``compile_baseline``/``compile_trios`` dispatch.
+#: the content-addressed job API consumes.
 _CONFIGURATION_OPTIONS: Dict[str, Tuple[str, Dict[str, str]]] = {
     "Qiskit (baseline)": ("baseline", {"toffoli_mode": "6cnot"}),
     "Qiskit (8-CNOT Toffoli)": ("baseline", {"toffoli_mode": "8cnot"}),

@@ -56,8 +56,8 @@ class Target:
         """Normalise a ``Target`` or bare ``CouplingMap`` into a ``Target``.
 
         A ``calibration`` argument fills in (but never overrides) a missing
-        calibration, which is how the legacy ``calibration=`` keyword of the
-        ``compile_*`` shims folds into the target.
+        calibration, which is how ``transpile()``'s ``calibration=`` keyword
+        folds into the target.
         """
         if isinstance(target, Target):
             if calibration is not None and target.calibration is None:

@@ -7,8 +7,7 @@ Module map:
   deterministic seeded backoff + jitter, max-failure circuit breaker, pool
   respawn on worker crash, serial-fallback degradation, prompt Ctrl-C) and
   returns structured :class:`CellResult` records; :func:`resolve_jobs` maps
-  ``jobs=0`` to all CPUs; :func:`run_experiment_cells` is the historical
-  raise-on-first-fault API, kept for legacy callers.
+  ``jobs=0`` to all CPUs.
 * :mod:`repro.runtime.faults` — the deterministic fault-injection layer:
   a :class:`FaultPlan` (arg- or ``REPRO_FAULTS`` env-activated) makes
   designated worker cells crash, hang, raise transiently, or return
@@ -38,7 +37,6 @@ from .runner import (
     FailurePolicy,
     failure_records,
     resolve_jobs,
-    run_experiment_cells,
 )
 
 __all__ = [
@@ -56,5 +54,4 @@ __all__ = [
     "failure_records",
     "is_corrupted",
     "resolve_jobs",
-    "run_experiment_cells",
 ]

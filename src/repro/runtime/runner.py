@@ -748,20 +748,3 @@ class CellRunner:
                     process.terminate()
         pool.shutdown(wait=True, cancel_futures=hard)
 
-
-def run_experiment_cells(payloads: Sequence[tuple], worker: Callable, jobs: int) -> List:
-    """Map a worker over payloads, serially or across a pool (legacy API).
-
-    The historical ``repro.parallel`` entry point: returns plain values in
-    payload order and propagates the first worker exception (``on_error=
-    "fail"``, no retries) — but now survives worker crashes long enough to
-    attribute them, via :class:`CellRunner`.  New callers should use
-    :class:`CellRunner` directly and get structured :class:`CellResult`
-    records, retries and timeouts.
-    """
-    runner = CellRunner(
-        jobs=jobs,
-        policy=FailurePolicy(retries=0, on_error="fail"),
-        label="run_experiment_cells",
-    )
-    return [result.value for result in runner.run(payloads, worker)]

@@ -7,8 +7,8 @@ Module map:
   experiment drivers' compile-once memoization.
 * :mod:`repro.service.jobs`    — the content-addressed job API:
   :class:`CompileJob`, the ``sha256(qasm + topology + options)`` key recipe
-  (:func:`compile_job_key`), canonical option resolution and
-  :func:`run_job_cached`.
+  (:func:`compile_job_key`) over resolved
+  :class:`~repro.compiler.TranspileOptions`, and :func:`run_job_cached`.
 * :mod:`repro.service.service` — :class:`CompileService`, the asyncio front
   end: request coalescing, batched dispatch onto the fault-tolerant
   :class:`repro.runtime.CellRunner` pool, structured per-request errors.
@@ -28,13 +28,10 @@ from .cache import CacheStats, ShardedLRUCache, default_size_of
 from .client import ServiceClient
 from .http import ServiceHTTPServer, serve
 from .jobs import (
-    NON_SEMANTIC_OPTIONS,
     CompileJob,
     CompiledArtifact,
-    canonical_options,
     compile_job_key,
     execute_compile_job,
-    resolve_options,
     run_job_cached,
     topology_signature,
 )
@@ -53,17 +50,14 @@ __all__ = [
     "CompileRequest",
     "CompileResponse",
     "CompileService",
-    "NON_SEMANTIC_OPTIONS",
     "ServiceClient",
     "ServiceHTTPServer",
     "ServiceStats",
     "ShardedLRUCache",
     "USER_ERROR_TYPES",
-    "canonical_options",
     "compile_job_key",
     "default_size_of",
     "execute_compile_job",
-    "resolve_options",
     "run_job_cached",
     "serve",
     "topology_signature",

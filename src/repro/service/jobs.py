@@ -1,32 +1,36 @@
 """Content-addressed compile jobs: one key recipe for drivers and server.
 
 A :class:`CompileJob` freezes everything that determines a compiled circuit —
-the canonical QASM of the input, the target topology's signature, the
-pipeline name, and the *fully resolved* option set — into a single SHA-256
-key.  The experiment drivers (:func:`repro.experiments.benchmarks.
-compile_benchmark_cached`, the Toffoli configurations) and the compile
-service (:mod:`repro.service.service`) all build their cache keys here, so a
-result cached by one is a hit for the others and the historical
-options-blind-key bug class cannot recur.
+the canonical QASM of the input, the target topology's signature and the
+resolved :class:`~repro.compiler.pipeline.TranspileOptions` (pipeline name
+included) — into a single SHA-256 key.  The experiment drivers
+(:func:`repro.experiments.benchmarks.compile_benchmark_cached`, the Toffoli
+configurations) and the compile service (:mod:`repro.service.service`) all
+build their cache keys here, so a result cached by one is a hit for the
+others.
 
 The key recipe (also documented in the README's service section)::
 
-    sha256("repro-compile-job/v1" + method + topology_signature
-           + canonical_options + canonical_qasm)
+    sha256("repro-compile-job/v2" + topology_signature
+           + options.canonical() + canonical_qasm)
 
-* ``canonical_qasm`` is ``to_qasm(circuit)`` — PR 5's bit-exact QASM
+* ``canonical_qasm`` is ``to_qasm(circuit)`` — the bit-exact QASM
   round-trip makes the text a faithful content address for the circuit.
 * ``topology_signature`` is the device name, qubit count and edge list.
-* ``canonical_options`` resolves every semantic ``transpile()`` option to
-  its effective value (including per-method defaults derived from the
-  pipeline's stage list), sorts them, and renders each canonically — so
-  ``transpile(c, t)`` and ``transpile(c, t, optimization_level=1)`` share a
-  key, while ``optimization_level=2`` never collides with either.
-  Options that cannot change the compiled output (``jobs``, ``validate``)
-  are excluded, so varying them never fragments the cache.
+* ``options.canonical()`` renders every semantic field of the resolved
+  options, defaults filled in, so ``transpile(c, t)`` and
+  ``transpile(c, t, optimization_level=1)`` share a key while
+  ``optimization_level=2`` never collides with either.  ``jobs`` and
+  ``validate`` cannot change the compiled output and are left out, so
+  varying them never fragments the cache.
 
-Caching safety: a job whose resolved seed is ``None`` under stochastic
-routing is **not cacheable** (:attr:`CompileJob.cacheable`) — its output is
+Options are resolved when the job is built: an unknown, misdirected or
+ill-typed option raises :class:`ServiceRequestError` before any key lookup
+or dispatch, and :func:`execute_compile_job` runs exactly the resolved
+object.
+
+Caching safety: a job whose seed is ``None`` under stochastic routing is
+**not cacheable** (:attr:`CompileJob.cacheable`) — its output is
 intentionally non-reproducible, and serving a memoized copy would silently
 change that contract.
 """
@@ -34,49 +38,19 @@ change that contract.
 from __future__ import annotations
 
 import hashlib
-import inspect
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Mapping, Optional, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.qasm import from_qasm, to_qasm
-from ..compiler.pipeline import PIPELINES, transpile
+from ..compiler.pipeline import TranspileOptions, run_transpile
 from ..compiler.result import CompilationResult
 from ..exceptions import ReproError, ServiceRequestError
 from ..hardware.topology import CouplingMap
-from ..passes.layout import Layout
 from .cache import ShardedLRUCache
 
 #: Version tag mixed into every key; bump when the recipe changes shape.
-_KEY_VERSION = "repro-compile-job/v1"
-
-#: ``transpile()`` options that cannot change the compiled circuit: the
-#: level-3 search parallelism and the validation mode only affect *how* the
-#: result is produced/checked, never its bytes.  They are excluded from the
-#: canonical option tuple so varying them shares cache entries.
-NON_SEMANTIC_OPTIONS = frozenset({"jobs", "validate"})
-
-#: Method-independent ``transpile()`` defaults, mirrored here so the key is
-#: computed without running a compile.  ``tests/test_service.py`` pins this
-#: mirror against the real signature.
-_COMMON_DEFAULTS: Dict[str, Any] = {
-    "layout": "greedy",
-    "optimization_level": 1,
-    "seed": 2021,
-    "routing": "stochastic",
-    "noise_aware": False,
-    "calibration": None,
-    "seed_trials": None,
-}
-
-#: Stage-conditional options and the ``transpile()`` default each assumes
-#: when its consuming stage is present (see the rejection table in
-#: :func:`repro.compiler.pipeline.transpile`).
-_STAGE_OPTION_DEFAULTS: Tuple[Tuple[str, str, Any], ...] = (
-    ("toffoli_mode", "unroll", "6cnot"),
-    ("second_decomposition", "second_decompose", "mapping_aware"),
-    ("overlap_optimization", "route_trios", True),
-)
+_KEY_VERSION = "repro-compile-job/v2"
 
 
 def topology_signature(coupling_map: CouplingMap) -> tuple:
@@ -84,121 +58,15 @@ def topology_signature(coupling_map: CouplingMap) -> tuple:
     return (coupling_map.name, coupling_map.num_qubits, tuple(coupling_map.edges))
 
 
-def _transpile_option_names() -> frozenset:
-    """Every keyword ``transpile()`` accepts beyond (circuit, target, method)."""
-    parameters = inspect.signature(transpile).parameters
-    return frozenset(parameters) - {"circuit", "target", "method"}
-
-
-#: Resolved once at import; the signature is static.
-_TRANSPILE_OPTIONS = _transpile_option_names()
-
-
-def resolve_options(method: str, options: Mapping[str, Any]) -> Dict[str, Any]:
-    """The *effective* semantic option set for one compile call.
-
-    Starts from ``transpile()``'s defaults (including the per-method
-    stage-conditional ones), folds the legacy ``optimize`` boolean into
-    ``optimization_level``, overlays the caller's options, and drops the
-    non-semantic ones.  Unknown option names raise
-    :class:`ServiceRequestError` up front rather than a ``TypeError`` deep
-    inside a worker.
-    """
-    try:
-        stage_names = PIPELINES[method]
-    except KeyError as exc:
-        raise ServiceRequestError(f"unknown compilation method {method!r}") from exc
-    unknown = set(options) - _TRANSPILE_OPTIONS
-    if unknown:
-        raise ServiceRequestError(
-            f"unknown transpile option(s) {sorted(unknown)}; "
-            f"valid options: {sorted(_TRANSPILE_OPTIONS)}"
-        )
-    resolved = dict(_COMMON_DEFAULTS)
-    for option, consumer, default in _STAGE_OPTION_DEFAULTS:
-        if consumer in stage_names:
-            resolved[option] = default
-        elif options.get(option) is not None:
-            # Mirror transpile()'s "has no effect" rejection so the bad
-            # request fails at key-resolution time, before any dispatch.
-            raise ServiceRequestError(
-                f"{option}={options[option]!r} has no effect: pipeline "
-                f"{method!r} has no {consumer!r} stage"
-            )
-    overlay = {
-        name: value
-        for name, value in options.items()
-        if name not in NON_SEMANTIC_OPTIONS and value is not None
-    }
-    # The legacy boolean maps onto optimization_level exactly as transpile()
-    # resolves it; both present is the error transpile() would raise.
-    if "optimize" in overlay:
-        if "optimization_level" in overlay:
-            raise ServiceRequestError(
-                "pass either optimization_level or optimize, not both"
-            )
-        overlay["optimization_level"] = 1 if overlay.pop("optimize") else 0
-    for name, value in overlay.items():
-        if name in resolved or name in _TRANSPILE_OPTIONS:
-            resolved[name] = value
-    # An explicit seed=None is semantic (seedless stochastic routing), not
-    # "use the default": honour it in the resolved set.
-    if "seed" in options and options["seed"] is None:
-        resolved["seed"] = None
-    return resolved
-
-
-def _canonical_value(value: Any) -> str:
-    """A stable, type-prefixed rendering of one option value."""
-    if isinstance(value, Layout):
-        value = value.to_dict()
-    if isinstance(value, Mapping):
-        items = sorted((int(k), int(v)) for k, v in value.items())
-        return "map:" + ",".join(f"{k}->{v}" for k, v in items)
-    if isinstance(value, bool):
-        return f"bool:{value}"
-    if isinstance(value, int):
-        return f"int:{value}"
-    if isinstance(value, float):
-        return f"float:{value.hex()}"
-    if value is None:
-        return "none"
-    if isinstance(value, str):
-        return f"str:{value}"
-    if isinstance(value, (tuple, list)):
-        return "seq:[" + ",".join(_canonical_value(v) for v in value) + "]"
-    raise ServiceRequestError(
-        f"option value {value!r} of type {type(value).__name__} cannot be "
-        f"canonicalised for the compile-cache key"
-    )
-
-
-def canonical_options(
-    method: str, options: Mapping[str, Any]
-) -> Tuple[Tuple[str, str], ...]:
-    """The resolved option set as a sorted, canonically rendered tuple."""
-    resolved = resolve_options(method, options)
-    return tuple(
-        (name, _canonical_value(value)) for name, value in sorted(resolved.items())
-    )
-
-
 def compile_job_key(
-    canonical_qasm: str,
-    topology: tuple,
-    method: str,
-    options: Mapping[str, Any],
+    canonical_qasm: str, topology: tuple, options: TranspileOptions
 ) -> str:
     """The SHA-256 content address of one compile job (hex digest)."""
-    rendered_options = ";".join(
-        f"{name}={value}" for name, value in canonical_options(method, options)
-    )
     payload = "\n".join(
         (
             _KEY_VERSION,
-            f"method={method}",
             f"topology={topology!r}",
-            f"options={rendered_options}",
+            f"options={options.canonical()}",
             "qasm:",
             canonical_qasm,
         )
@@ -213,18 +81,12 @@ _CANONICAL_QASM_CACHE = ShardedLRUCache(max_bytes=32 * 1024 * 1024, name="qasm")
 
 @dataclass
 class CompileJob:
-    """One fully specified compile: content key + everything to execute it.
-
-    ``options`` holds exactly what the caller passed (defaults resolved only
-    for the *key*), so execution forwards precisely the user's intent and
-    ``transpile()``'s option-rejection rules still apply per pipeline.
-    """
+    """One fully specified compile: content key + everything to execute it."""
 
     qasm: str
     coupling_map: CouplingMap
-    method: str
-    options: Dict[str, Any] = field(default_factory=dict)
-    key: str = ""
+    options: TranspileOptions
+    key: str
     #: The parsed/original circuit, carried to skip a re-parse at execution.
     circuit: Optional[QuantumCircuit] = None
 
@@ -276,18 +138,19 @@ class CompileJob:
         method: str,
         options: Mapping[str, Any],
     ) -> "CompileJob":
-        options = dict(options)
-        key = compile_job_key(
-            qasm, topology_signature(coupling_map), method, options
-        )
-        return cls(
-            qasm=qasm,
-            coupling_map=coupling_map,
-            method=method,
-            options=options,
-            key=key,
-            circuit=circuit,
-        )
+        try:
+            resolved = TranspileOptions.resolve(method, options)
+        except ReproError as exc:
+            raise ServiceRequestError(str(exc)) from exc
+        if resolved.noise_aware or resolved.layout == "noise":
+            # Jobs compile for a bare coupling map; the pass would fail in
+            # the worker, after a dispatch and its retries.
+            raise ServiceRequestError(
+                "noise-aware layout and routing need a calibration, which "
+                "compile jobs do not carry"
+            )
+        key = compile_job_key(qasm, topology_signature(coupling_map), resolved)
+        return cls(qasm, coupling_map, resolved, key, circuit)
 
     @property
     def cacheable(self) -> bool:
@@ -297,17 +160,13 @@ class CompileJob:
         a result would freeze one arbitrary draw forever, silently changing
         the caller's semantics.  Everything else is deterministic.
         """
-        resolved = resolve_options(self.method, self.options)
-        return not (
-            resolved.get("seed") is None
-            and resolved.get("routing") == "stochastic"
-        )
+        return not (self.options.seed is None and self.options.routing == "stochastic")
 
 
 def execute_compile_job(job: CompileJob) -> CompilationResult:
-    """Run one job through ``transpile()`` with exactly the caller's options."""
+    """Run one job with exactly its resolved options."""
     circuit = job.circuit if job.circuit is not None else from_qasm(job.qasm)
-    return transpile(circuit, job.coupling_map, method=job.method, **job.options)
+    return run_transpile(circuit, job.coupling_map, job.options)
 
 
 @dataclass(frozen=True)

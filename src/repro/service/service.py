@@ -74,8 +74,9 @@ class CompileRequest:
     """One client request: a circuit, a target, a pipeline, options.
 
     ``target`` is either the name of a registered paper topology or an
-    explicit :class:`CouplingMap`; ``options`` are ``transpile()`` keywords
-    (semantic ones only — validation/parallelism knobs are server policy).
+    explicit :class:`CouplingMap`; ``options`` are ``transpile()`` keywords,
+    resolved into :class:`~repro.compiler.TranspileOptions` when the job is
+    built.
     """
 
     qasm: str

@@ -8,7 +8,7 @@ routing introduces).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -103,21 +103,3 @@ def phase_aligned_distance(matrix_a: np.ndarray, matrix_b: np.ndarray) -> float:
         phase = 1.0
     return float(np.max(np.abs(matrix_a - matrix_b * phase)))
 
-
-def circuits_equivalent(
-    circuit_a: QuantumCircuit,
-    circuit_b: QuantumCircuit,
-    final_permutation: Optional[Dict[int, int]] = None,
-    atol: float = 1e-8,
-) -> bool:
-    """Whether two circuits implement the same unitary.
-
-    Legacy location: the implementation lives in
-    :func:`repro.sim.equivalence.circuits_equivalent` (the package-level
-    export), which this delegates to so both import paths behave
-    identically.  The lazy import avoids a module cycle — ``equivalence``
-    builds on this module's :func:`circuit_unitary`.
-    """
-    from .equivalence import circuits_equivalent as _impl
-
-    return _impl(circuit_a, circuit_b, final_permutation, atol=atol)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from repro.circuits import CircuitDag, QuantumCircuit, circuit_layers, from_qasm, to_qasm
+from repro.circuits import DagCircuit, QuantumCircuit, circuit_layers, from_qasm, to_qasm
 from repro.circuits.circuit import Instruction
 from repro.circuits.library import barrier_op, ccx_gate, cx_gate, h_gate, measure_op
 from repro.exceptions import CircuitError
@@ -176,7 +176,7 @@ class TestCircuitTransforms:
         assert [inst.name for inst in cleaned.instructions] == ["h"]
 
 
-class TestCircuitDag:
+class TestDagQueries:
     def test_layers_group_parallel_gates(self):
         circuit = QuantumCircuit(4)
         circuit.h(0).h(1).cx(0, 1).cx(2, 3)
@@ -189,7 +189,7 @@ class TestCircuitDag:
     def test_front_layer_and_successors(self):
         circuit = QuantumCircuit(2)
         circuit.h(0).cx(0, 1).x(1)
-        dag = CircuitDag(circuit)
+        dag = DagCircuit(circuit)
         front = dag.front_layer()
         assert [node.name for node in front] == ["h"]
         successors = dag.successors(front[0].index)
@@ -199,7 +199,7 @@ class TestCircuitDag:
     def test_weighted_depth_uses_durations(self, hardware_calibration):
         circuit = QuantumCircuit(2)
         circuit.u3(0.1, 0.2, 0.3, 0).cx(0, 1).u3(0.1, 0.2, 0.3, 1)
-        duration = CircuitDag(circuit).weighted_depth(
+        duration = DagCircuit(circuit).weighted_depth(
             lambda inst: hardware_calibration.gate_duration(inst.name, inst.qubits)
         )
         expected = 0.07 + 0.559 + 0.07

@@ -15,7 +15,7 @@ from repro.bench_circuits import (
     get_benchmark,
     grovers,
 )
-from repro.compiler import check_connectivity, compile_baseline, compile_trios
+from repro.compiler import check_connectivity, transpile
 from repro.hardware import grid, johannesburg, near_term_calibration
 from repro.sim import GateFailureSampler
 
@@ -29,7 +29,7 @@ class TestFullSuiteCompiles:
     @pytest.mark.parametrize("name", sorted(PAPER_BENCHMARKS))
     def test_trios_compiles_every_benchmark(self, name):
         circuit = get_benchmark(name)
-        result = compile_trios(circuit, DEVICE, seed=1)
+        result = transpile(circuit, DEVICE, method="trios", seed=1)
         assert check_connectivity(result.circuit, DEVICE) == []
         counts = result.circuit.count_ops()
         assert counts.get("ccx", 0) == 0 and counts.get("ccz", 0) == 0
@@ -39,7 +39,7 @@ class TestFullSuiteCompiles:
     @pytest.mark.parametrize("name", sorted(PAPER_BENCHMARKS))
     def test_baseline_compiles_every_benchmark(self, name):
         circuit = get_benchmark(name)
-        result = compile_baseline(circuit, DEVICE, seed=1)
+        result = transpile(circuit, DEVICE, method="baseline", seed=1)
         assert check_connectivity(result.circuit, DEVICE) == []
         assert result.circuit.count_ops().get("ccx", 0) == 0
 
@@ -48,22 +48,22 @@ class TestFullSuiteCompiles:
     )
     def test_trios_reduces_cnots_on_cnx_style_benchmarks(self, name):
         circuit = get_benchmark(name)
-        baseline = compile_baseline(circuit, DEVICE, seed=1)
-        trios = compile_trios(circuit, DEVICE, seed=1)
+        baseline = transpile(circuit, DEVICE, method="baseline", seed=1)
+        trios = transpile(circuit, DEVICE, method="trios", seed=1)
         assert trios.two_qubit_gate_count < baseline.two_qubit_gate_count
 
     @pytest.mark.parametrize("name", TOFFOLI_FREE_BENCHMARKS)
     def test_toffoli_free_benchmarks_identical_under_both_pipelines(self, name):
         circuit = get_benchmark(name)
-        baseline = compile_baseline(circuit, DEVICE, seed=4)
-        trios = compile_trios(circuit, DEVICE, seed=4)
+        baseline = transpile(circuit, DEVICE, method="baseline", seed=4)
+        trios = transpile(circuit, DEVICE, method="trios", seed=4)
         assert baseline.circuit == trios.circuit
 
 
 class TestCompiledSemantics:
     def test_compiled_grover_still_finds_marked_item(self):
         program = grovers(4)
-        result = compile_trios(program, grid(), seed=2)
+        result = transpile(program, grid(), method="trios", seed=2)
         sampler = GateFailureSampler(PERFECT, seed=0, include_readout_error=False)
         measured = result.physical_qubits_of(list(range(4)))
         counts = sampler.run(result.circuit, shots=300, measured_qubits=measured)
@@ -72,7 +72,7 @@ class TestCompiledSemantics:
     def test_compiled_bv_recovers_secret(self):
         secret = "110101"
         program = bernstein_vazirani(7, secret=secret)
-        result = compile_trios(program, DEVICE, seed=2)
+        result = transpile(program, DEVICE, method="trios", seed=2)
         sampler = GateFailureSampler(PERFECT, seed=0, include_readout_error=False)
         measured = result.physical_qubits_of(list(range(6)))
         counts = sampler.run(result.circuit, shots=100, measured_qubits=measured)
@@ -85,7 +85,7 @@ class TestCompiledSemantics:
         program.x(0)
         program.x(1)
         program.ccx(0, 1, 2)
-        result = compile_trios(program, DEVICE, layout={0: 0, 1: 4, 2: 15})
+        result = transpile(program, DEVICE, method="trios", layout={0: 0, 1: 4, 2: 15})
         sampler = GateFailureSampler(PERFECT, seed=0, include_readout_error=False)
         measured = result.physical_qubits_of([0, 1, 2])
         counts = sampler.run(result.circuit, shots=100, measured_qubits=measured)

@@ -231,10 +231,10 @@ class TestTriosRouter:
         circuit = QuantumCircuit(3)
         circuit.ccx(0, 1, 2)
         for placement in ({0: 0, 1: 4, 2: 15}, {0: 2, 1: 13, 2: 18}, {0: 16, 1: 1, 2: 8}):
-            def swaps(optimize: bool) -> int:
+            def swaps(overlap: bool) -> int:
                 _, props = PassManager([
                     FixedLayoutPass(johannesburg_map, placement),
-                    TriosRouter(johannesburg_map, overlap_optimization=optimize),
+                    TriosRouter(johannesburg_map, overlap_optimization=overlap),
                 ]).run(circuit)
                 return props["swaps_inserted"]
             assert swaps(True) <= swaps(False)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import assert_compilation_equivalent
 
-from repro import QuantumCircuit, compile_baseline, compile_trios
+from repro import QuantumCircuit, transpile
 from repro.compiler import check_connectivity
 from repro.hardware import grid, johannesburg, line
 from repro.passes import (
@@ -117,7 +117,7 @@ class TestPipelineProperties:
     @settings(**_SETTINGS)
     def test_baseline_pipeline_is_sound(self, circuit, device, seed):
         coupling_map = DEVICES[device]
-        result = compile_baseline(circuit, coupling_map, seed=seed)
+        result = transpile(circuit, coupling_map, method="baseline", seed=seed)
         assert check_connectivity(result.circuit, coupling_map) == []
         assert_compilation_equivalent(circuit, result, trials=1)
 
@@ -129,7 +129,7 @@ class TestPipelineProperties:
     @settings(**_SETTINGS)
     def test_trios_pipeline_is_sound(self, circuit, device, seed):
         coupling_map = DEVICES[device]
-        result = compile_trios(circuit, coupling_map, seed=seed)
+        result = transpile(circuit, coupling_map, method="trios", seed=seed)
         assert check_connectivity(result.circuit, coupling_map) == []
         assert_compilation_equivalent(circuit, result, trials=1)
 
@@ -145,11 +145,11 @@ class TestPipelineProperties:
         circuit.ccx(0, 1, 2)
         layout = {i: placement[i] for i in range(3)}
         # Under deterministic routing the paper's claim holds exactly.
-        baseline = compile_baseline(
-            circuit, coupling_map, layout=layout, routing="greedy", seed=seed
+        baseline = transpile(
+            circuit, coupling_map, method="baseline", layout=layout, routing="greedy", seed=seed
         )
-        trios = compile_trios(
-            circuit, coupling_map, layout=layout, routing="greedy", seed=seed
+        trios = transpile(
+            circuit, coupling_map, method="trios", layout=layout, routing="greedy", seed=seed
         )
         assert trios.two_qubit_gate_count <= baseline.two_qubit_gate_count
         # Stochastic routing draws each pipeline's tied shortest paths
@@ -157,6 +157,6 @@ class TestPipelineProperties:
         # draw by up to one SWAP on adversarial placements (e.g. placement
         # [12, 0, 16] with seed 1 gives 26 vs 24, identically on the
         # pre-DAG-IR pipelines).
-        baseline = compile_baseline(circuit, coupling_map, layout=layout, seed=seed)
-        trios = compile_trios(circuit, coupling_map, layout=layout, seed=seed)
+        baseline = transpile(circuit, coupling_map, method="baseline", layout=layout, seed=seed)
+        trios = transpile(circuit, coupling_map, method="trios", layout=layout, seed=seed)
         assert trios.two_qubit_gate_count <= baseline.two_qubit_gate_count + 3

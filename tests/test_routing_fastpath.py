@@ -21,7 +21,7 @@ import networkx as nx
 import pytest
 
 from repro.bench_circuits import get_benchmark
-from repro.compiler import compile_baseline, compile_trios
+from repro.compiler import transpile
 from repro.experiments import run_benchmark_experiment
 from repro.experiments.benchmarks import clear_compile_cache
 from repro.hardware import clusters, grid, johannesburg, johannesburg_aug19_2020, line
@@ -54,11 +54,11 @@ class TestDeterministicByteIdentity:
         coupling_map = TOPOLOGIES[topology]()
         circuit = get_benchmark(name)
         kwargs = dict(routing="greedy", seed=None)
-        new_baseline = compile_baseline(circuit, coupling_map, **kwargs)
-        new_trios = compile_trios(circuit, coupling_map, **kwargs)
+        new_baseline = transpile(circuit, coupling_map, method="baseline", **kwargs)
+        new_trios = transpile(circuit, coupling_map, method="trios", **kwargs)
         with _legacy.legacy_routers():
-            old_baseline = compile_baseline(circuit, coupling_map, **kwargs)
-            old_trios = compile_trios(circuit, coupling_map, **kwargs)
+            old_baseline = transpile(circuit, coupling_map, method="baseline", **kwargs)
+            old_trios = transpile(circuit, coupling_map, method="trios", **kwargs)
         assert _signature(new_baseline) == _signature(old_baseline)
         assert _signature(new_trios) == _signature(old_trios)
 
@@ -70,19 +70,19 @@ class TestDeterministicByteIdentity:
         circuit = get_benchmark("cnx_dirty-11")
         kwargs = dict(routing="greedy", seed=None, calibration=calibration,
                       noise_aware=True)
-        new = compile_baseline(circuit, coupling_map, **kwargs)
+        new = transpile(circuit, coupling_map, method="baseline", **kwargs)
         with _legacy.legacy_routers():
-            old = compile_baseline(circuit, coupling_map, **kwargs)
+            old = transpile(circuit, coupling_map, method="baseline", **kwargs)
         assert _signature(new) == _signature(old)
 
 
 class TestSeedDeterminism:
-    @pytest.mark.parametrize("compiler", [compile_baseline, compile_trios])
-    def test_same_seed_same_circuit(self, compiler):
+    @pytest.mark.parametrize("method", ["baseline", "trios"])
+    def test_same_seed_same_circuit(self, method):
         coupling_map = grid()
         circuit = get_benchmark("cnx_dirty-11")
-        first = compiler(circuit, coupling_map, seed=17)
-        second = compiler(circuit, coupling_map, seed=17)
+        first = transpile(circuit, coupling_map, method=method, seed=17)
+        second = transpile(circuit, coupling_map, method=method, seed=17)
         assert _signature(first) == _signature(second)
         assert first.two_qubit_gate_count == second.two_qubit_gate_count
 

@@ -30,7 +30,6 @@ from repro.runtime import (
     FaultPlan,
     failure_records,
     resolve_jobs,
-    run_experiment_cells,
 )
 from repro.runtime.faults import FAULTS_ENV_VAR, Corrupted, is_corrupted
 
@@ -349,25 +348,6 @@ class TestFailureRecords:
         table = format_failure_summary(failures)
         assert "b" in table and "failed" in table and "flaky sim" in table
         assert format_failure_summary([]) == "(no failed cells)"
-
-
-# ----------------------------------------------------------------------
-# Legacy adapter
-# ----------------------------------------------------------------------
-class TestLegacyAdapter:
-    def test_returns_plain_values(self):
-        assert run_experiment_cells(PAYLOADS, square_cell, jobs=1) == EXPECTED
-        assert run_experiment_cells(PAYLOADS, square_cell, jobs=2) == EXPECTED
-
-    def test_raises_on_first_fault(self, monkeypatch):
-        plan = FaultPlan.single(0, Fault("raise", message="legacy"))
-        monkeypatch.setenv(FAULTS_ENV_VAR, plan.to_json())
-        with pytest.raises(FaultInjectionError, match="legacy"):
-            run_experiment_cells(PAYLOADS, square_cell, jobs=1)
-
-    def test_old_import_path_still_works(self):
-        from repro.parallel import run_experiment_cells as legacy
-        assert legacy is run_experiment_cells
 
 
 # ----------------------------------------------------------------------

@@ -11,19 +11,22 @@ Covers the PR's hard guarantees:
   Fig 9/10 sha256 reference;
 * worker crashes injected via ``REPRO_FAULTS`` surface as structured errors
   to exactly the affected requests without taking the server down;
-* the deprecated ``repro.parallel`` shim warns on import.
+* invalid options fail while the job is built, before any lookup or
+  dispatch, on a cold cache and on a warm one.
 """
 
 from __future__ import annotations
 
 import asyncio
 import hashlib
-import importlib
 import json
-import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench_circuits.suite import get_benchmark
 from repro.circuits.qasm import from_qasm, to_qasm
@@ -48,12 +51,12 @@ from repro.service import (
     ServiceClient,
     ServiceHTTPServer,
     ShardedLRUCache,
-    canonical_options,
     compile_job_key,
-    resolve_options,
+    execute_compile_job,
     topology_signature,
 )
-from repro.compiler.pipeline import transpile
+from repro.compiler.pipeline import TranspileOptions, transpile
+from repro.passes.layout import Layout
 
 REFERENCE = Path(__file__).parent / "data" / "fig9_10_compiled_sha256.json"
 
@@ -76,6 +79,57 @@ def circuit_digest(circuit) -> str:
 def tiny_line(num_qubits: int = 5) -> CouplingMap:
     edges = [(i, i + 1) for i in range(num_qubits - 1)]
     return CouplingMap(num_qubits, edges, name=f"tiny-line-{num_qubits}")
+
+
+@st.composite
+def option_sets(draw, like=None):
+    """A pipeline name and valid ``transpile()`` keywords for it.
+
+    Given ``like`` (another draw), the pipeline and level are kept and at
+    most two options are redrawn, so equal resolutions are common.
+    Values also repeat across draws: defaults spelled out, layouts in two
+    key orders, non-semantic knobs.
+    """
+    if like is None:
+        method, level, base = (
+            draw(st.sampled_from(["baseline", "trios"])),
+            draw(st.sampled_from([None, 0, 1, 3])),
+            {},
+        )
+    else:
+        method, base = like
+        level = base.get("optimization_level")
+        if level in (None, 1):
+            level = draw(st.sampled_from([None, 1]))
+    choices = {
+        "seed": [2021, 7, None],
+        "layout": [
+            "greedy", "trivial", {0: 1, 1: 0, 2: 2}, {2: 2, 1: 0, 0: 1},
+            Layout({0: 1, 1: 0, 2: 2}),
+        ],
+        "routing": ["stochastic", "greedy"],
+        "noise_aware": [False],
+        "validate": [True, False, "contracts"],
+    }
+    if method == "baseline":
+        choices["toffoli_mode"] = [None, "6cnot", "8cnot"]
+    else:
+        choices["second_decomposition"] = [None, "mapping_aware", "6cnot"]
+        choices["overlap_optimization"] = [None, True, False]
+    if level == 3:
+        choices["seed_trials"] = [None, 2, 4]
+        choices["jobs"] = [1, 2, 0]
+    redrawn = set(choices)
+    if like is not None:
+        redrawn = draw(st.sets(st.sampled_from(sorted(choices)), max_size=2))
+    options = {} if level is None else {"optimization_level": level}
+    for name, values in choices.items():
+        if name not in redrawn:
+            if name in base:
+                options[name] = base[name]
+        elif draw(st.booleans()):
+            options[name] = draw(st.sampled_from(values))
+    return method, options
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +204,8 @@ class TestCompileJobKeys:
     qasm = "OPENQASM 2.0;"
 
     def key(self, method="baseline", **options):
-        return compile_job_key(self.qasm, self.topo, method, options)
+        resolved = TranspileOptions.resolve(method, options)
+        return compile_job_key(self.qasm, self.topo, resolved)
 
     def test_two_option_sets_never_collide(self):
         # The historical bug: (benchmark, topology, method, seed) ignored
@@ -174,9 +229,10 @@ class TestCompileJobKeys:
         assert self.key("trios", second_decomposition="mapping_aware") == (
             self.key("trios")
         )
-        # The legacy boolean maps onto the level it resolves to.
-        assert self.key(optimize=True) == self.key(optimization_level=1)
-        assert self.key(optimize=False) == self.key(optimization_level=0)
+        # Level 3 resolves its default search width.
+        assert self.key(optimization_level=3) == self.key(
+            optimization_level=3, seed_trials=4
+        )
 
     def test_non_semantic_options_do_not_fragment_the_key(self):
         assert self.key(validate=False) == self.key()
@@ -189,31 +245,75 @@ class TestCompileJobKeys:
         b = self.key(layout={2: 4, 0: 3, 1: 1})
         assert a == b
         assert a != self.key(layout={0: 3, 1: 1, 2: 2})
+        assert a == self.key(layout=Layout({1: 1, 2: 4, 0: 3}))
 
     def test_methods_and_topologies_split_the_key(self):
         assert self.key("baseline") != self.key("trios")
         other = ("line", 5, ((0, 1), (1, 2), (2, 3), (0, 4)))
-        assert compile_job_key(self.qasm, other, "baseline", {}) != self.key()
+        default = TranspileOptions("baseline")
+        assert compile_job_key(self.qasm, other, default) != self.key()
 
     def test_unknown_and_misdirected_options_rejected(self):
-        with pytest.raises(ServiceRequestError, match="unknown transpile option"):
-            resolve_options("baseline", {"opt_level": 2})
-        with pytest.raises(ServiceRequestError, match="has no effect"):
-            resolve_options("trios", {"toffoli_mode": "8cnot"})
-        with pytest.raises(ServiceRequestError, match="unknown compilation method"):
-            resolve_options("nonsense", {})
-
-    def test_canonical_options_mirror_transpile_defaults(self):
-        # The key's default table must track the real signature: compile with
-        # no options and with the mirrored defaults and compare outputs.
         circuit = get_benchmark("cnx_inplace-4")
-        coupling_map = tiny_line()
-        implicit = transpile(circuit, coupling_map, method="baseline", seed=7)
-        resolved = dict(resolve_options("baseline", {"seed": 7}))
-        for non_option in ("calibration",):
-            resolved.pop(non_option, None)
-        explicit = transpile(circuit, coupling_map, method="baseline", **resolved)
-        assert canonical_bytes(implicit.circuit) == canonical_bytes(explicit.circuit)
+
+        def job(method, **options):
+            return CompileJob.from_circuit(circuit, tiny_line(), method, **options)
+
+        with pytest.raises(ServiceRequestError, match="unknown transpile option"):
+            job("baseline", opt_level=2)
+        with pytest.raises(ServiceRequestError, match="has no effect"):
+            job("trios", toffoli_mode="8cnot")
+        with pytest.raises(ServiceRequestError, match="unknown compilation method"):
+            job("nonsense")
+        with pytest.raises(ServiceRequestError, match="calibration"):
+            job("baseline", noise_aware=True)
+
+    @pytest.mark.parametrize("name", ["optimization_level", "seed", "seed_trials", "jobs"])
+    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    def test_integer_options_reject_bool_float_and_str(self, name, value):
+        # 1, True and 1.0 once rendered as three different keys.
+        level = {} if name == "optimization_level" else {"optimization_level": 3}
+        assert self.key(**level, **{name: np.int64(1)}) == self.key(**level, **{name: 1})
+        with pytest.raises(ServiceRequestError, match=name):
+            CompileJob.from_circuit(
+                get_benchmark("cnx_inplace-4"), tiny_line(), "baseline",
+                **level, **{name: value},
+            )
+
+    @given(st.data())
+    @settings(max_examples=400)
+    def test_keys_equal_exactly_when_resolved_options_equal(self, data):
+        a_method, a_options = data.draw(option_sets())
+        b_method, b_options = data.draw(
+            st.one_of(option_sets(), option_sets(like=(a_method, a_options)))
+        )
+        a = TranspileOptions.resolve(a_method, a_options)
+        b = TranspileOptions.resolve(b_method, b_options)
+        same = replace(a, jobs=1, validate=True) == replace(b, jobs=1, validate=True)
+        assert (self.key(a_method, **a_options) == self.key(b_method, **b_options)) == same
+
+    def test_execute_compile_job_runs_the_jobs_own_options(self, monkeypatch):
+        import repro.service.jobs as jobs_module
+
+        circuit = get_benchmark("cnx_inplace-4")
+        job = CompileJob.from_circuit(
+            circuit, tiny_line(), "baseline", seed=7, toffoli_mode="8cnot"
+        )
+        received = []
+        real = jobs_module.run_transpile
+
+        def spy(circuit, target, options):
+            received.append(options)
+            return real(circuit, target, options)
+
+        monkeypatch.setattr(jobs_module, "run_transpile", spy)
+        result = execute_compile_job(job)
+        assert len(received) == 1 and received[0] is job.options
+        direct = transpile(
+            circuit, tiny_line(), method="baseline", seed=7, toffoli_mode="8cnot"
+        )
+        assert result.method == direct.method == "baseline-8cnot"
+        assert canonical_bytes(result.circuit) == canonical_bytes(direct.circuit)
 
     def test_seedless_stochastic_jobs_are_not_cacheable(self):
         circuit = get_benchmark("cnx_inplace-4")
@@ -265,9 +365,8 @@ class TestDriverCache:
         assert canonical_bytes(second.circuit) == canonical_bytes(fresh.circuit)
 
     def test_compile_configuration_matches_legacy_pipeline(self):
-        # The Toffoli driver now routes through the job API; its outputs must
-        # be byte-identical to the historical compile_baseline/compile_trios
-        # calls (same options, same seed).
+        # The Toffoli driver routes through the job API; its outputs must be
+        # byte-identical to a direct transpile() (same options, same seed).
         clear_compile_cache()
         coupling_map = by_name("ibmq-johannesburg")
         placement = {0: 0, 1: 4, 2: 15}
@@ -452,6 +551,65 @@ class TestCompileService:
 
         asyncio.run(scenario())
 
+    def test_invalid_options_rejected_before_dispatch(self):
+        # Each of these once cost a pool dispatch (and a retry), compiled
+        # anyway, or was served from the cache under the default key.
+        bad = [
+            ("baseline", {"jobs": 3}),
+            ("baseline", {"validate": "bogus"}),
+            ("baseline", {"optimization_level": "1"}),
+            ("baseline", {"optimization_level": 7}),
+            ("baseline", {"routing": "nope"}),
+            ("baseline", {"seed_trials": 3}),
+            ("trios", {"second_decomposition": "9cnot"}),
+            ("baseline", {"seed": "abc"}),
+        ]
+
+        async def reject_all(service):
+            for method, options in bad:
+                request = make_request(method=method, **options)
+                with pytest.raises(ServiceRequestError):
+                    await service.compile(request)
+
+        async def scenario():
+            service = CompileService(pool_jobs=1)
+            await service.start()
+            try:
+                await reject_all(service)  # cold cache
+                cold_compiles = service.stats.pool_compiles
+                await service.compile(make_request(method="baseline"))
+                await service.compile(make_request(method="trios"))
+                await reject_all(service)  # warm: the default keys are cached
+            finally:
+                await service.stop()
+            return service, cold_compiles
+
+        service, cold_compiles = asyncio.run(scenario())
+        assert cold_compiles == 0
+        assert service.stats.pool_compiles == 2
+        assert service.stats.hits == 0
+        assert service.stats.errors == 2 * len(bad)
+
+    def test_invalid_request_never_fails_a_coalesced_valid_one(self):
+        # jobs=3 at level 1 once shared the default key, coalesced with the
+        # valid request and failed it.
+        async def scenario():
+            service = CompileService(pool_jobs=1, batch_window=0.02)
+            await service.start()
+            try:
+                return await asyncio.gather(
+                    service.compile(make_request(jobs=3)),
+                    service.compile(make_request()),
+                    return_exceptions=True,
+                ), service
+            finally:
+                await service.stop()
+
+        (invalid, valid), service = asyncio.run(scenario())
+        assert isinstance(invalid, ServiceRequestError)
+        assert valid.status == "miss" and valid.cnots > 0
+        assert service.stats.pool_compiles == 1
+
     def test_on_error_fail_policy_rejected(self):
         with pytest.raises(ServiceError, match="on_error"):
             CompileService(policy=FailurePolicy(on_error="fail"))
@@ -535,18 +693,5 @@ class TestServiceHTTP:
         assert results["shutdown"][0] == 200
 
 
-# ----------------------------------------------------------------------
-# The deprecated repro.parallel shim
-# ----------------------------------------------------------------------
-def test_parallel_shim_warns_on_import():
-    sys.modules.pop("repro.parallel", None)
-    with pytest.warns(DeprecationWarning, match="repro.parallel is deprecated"):
-        importlib.import_module("repro.parallel")
-    # Re-import from cache: no second warning, the export still works.
-    module = importlib.import_module("repro.parallel")
-    assert callable(module.run_experiment_cells)
-
-
 def test_topology_signature_distinguishes_devices():
     assert topology_signature(tiny_line(5)) != topology_signature(tiny_line(6))
-    assert canonical_options("baseline", {})  # smoke: defaults render

@@ -11,7 +11,7 @@ import pytest
 
 from tests.conftest import assert_compilation_equivalent
 
-from repro import QuantumCircuit, Target, compile_baseline, compile_trios, transpile
+from repro import QuantumCircuit, Target, transpile
 from repro.bench_circuits.suite import PAPER_BENCHMARKS, get_benchmark
 from repro.compiler import check_connectivity
 from repro.exceptions import TranspilerError
@@ -176,17 +176,6 @@ class TestTranspileApi:
         )
         assert check_connectivity(result.circuit, johannesburg_map) == []
 
-    def test_shims_match_transpile(self, johannesburg_map):
-        program = self._program()
-        assert (
-            compile_baseline(program, johannesburg_map, seed=7).circuit
-            == transpile(program, johannesburg_map, method="baseline", seed=7).circuit
-        )
-        assert (
-            compile_trios(program, johannesburg_map, seed=7).circuit
-            == transpile(program, johannesburg_map, method="trios", seed=7).circuit
-        )
-
     @pytest.mark.parametrize("method", ["baseline", "trios"])
     def test_optimization_levels(self, johannesburg_map, method):
         program = self._program()
@@ -201,15 +190,9 @@ class TestTranspileApi:
             assert check_connectivity(result.circuit, johannesburg_map) == []
             assert_compilation_equivalent(program, result)
         assert len(by_level[1].circuit) <= len(by_level[0].circuit)
-        # Level 1 must equal the legacy optimize=True path.
-        legacy = transpile(program, johannesburg_map, method=method, seed=5)
-        assert by_level[1].circuit == legacy.circuit
-
-    def test_optimize_and_level_are_mutually_exclusive(self, johannesburg_map):
-        with pytest.raises(TranspilerError):
-            transpile(
-                self._program(), johannesburg_map, optimize=True, optimization_level=1
-            )
+        # Level 1 is the default.
+        default = transpile(program, johannesburg_map, method=method, seed=5)
+        assert by_level[1].circuit == default.circuit
 
     def test_unknown_method_layout_and_routing_rejected(self, johannesburg_map):
         with pytest.raises(TranspilerError):
@@ -382,6 +365,7 @@ class TestOptimizationLevel3:
         # what the full monolithic pipeline produces for the same seed —
         # the optimisation is a pure cost cut, never a result change.
         from repro.compiler.pipeline import (
+            TranspileOptions,
             _TranspileContext,
             _build_partial_manager,
             _candidate_seeds,
@@ -394,10 +378,8 @@ class TestOptimizationLevel3:
         target = Target(johannesburg_map)
         for method in ("baseline", "trios"):
             ctx = _TranspileContext(
-                target=target, layout="greedy", optimization_level=3, seed=5,
-                routing="stochastic", toffoli_mode="6cnot",
-                second_decomposition="mapping_aware", overlap_optimization=True,
-                edge_weights=None, validate_mode="full",
+                options=TranspileOptions(method, optimization_level=3, seed=5),
+                target=target, edge_weights=None, validate_mode="full",
             )
             prefix_names, suffix_names = _split_stage_names(method)
             assert prefix_names, "every registered pipeline has a layout stage"
@@ -406,11 +388,9 @@ class TestOptimizationLevel3:
                 prefix_names, ctx
             ).run(program)
             for candidate_seed in _candidate_seeds(5, 3):
-                reference = _seed_candidate(
-                    (ctx, method, program, None, candidate_seed)
-                )
+                reference = _seed_candidate((ctx, program, None, candidate_seed))
                 reused = _seed_candidate(
-                    (ctx, method, pre_circuit, pre_properties, candidate_seed)
+                    (ctx, pre_circuit, pre_properties, candidate_seed)
                 )
                 assert canonical_bytes(reused[0]) == canonical_bytes(reference[0])
                 # cnots, depth, estimated success — the admissibility inputs.
