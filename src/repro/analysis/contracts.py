@@ -76,21 +76,21 @@ def _check_routed(dag: DagCircuit, properties) -> Optional[str]:
     coupling_map = properties.get("coupling_map")
     if coupling_map is None:
         return None
-    for node in dag:
-        gate = node.instruction.gate
+    for node, instruction in enumerate(dag.instructions):
+        gate = instruction.gate
         if not gate.is_unitary:
             continue
         if gate.num_qubits == 2:
-            a, b = node.qubits
+            a, b = instruction.qubits
             if not coupling_map.are_adjacent(a, b):
                 return (
-                    f"{node.name} on non-adjacent qubits ({a}, {b}) "
-                    f"[node {node.index}]"
+                    f"{gate.name} on non-adjacent qubits ({a}, {b}) "
+                    f"[node {node}]"
                 )
         elif gate.num_qubits >= 3:
             return (
-                f"{gate.num_qubits}q unitary {node.name!r} survives routing "
-                f"[node {node.index}]"
+                f"{gate.num_qubits}q unitary {gate.name!r} survives routing "
+                f"[node {node}]"
             )
     return None
 
@@ -100,51 +100,51 @@ def _check_routed_toffoli(dag: DagCircuit, properties) -> Optional[str]:
     coupling_map = properties.get("coupling_map")
     if coupling_map is None:
         return None
-    for node in dag:
-        gate = node.instruction.gate
+    for node, instruction in enumerate(dag.instructions):
+        gate = instruction.gate
         if not gate.is_unitary:
             continue
         if gate.num_qubits == 2:
-            a, b = node.qubits
+            a, b = instruction.qubits
             if not coupling_map.are_adjacent(a, b):
                 return (
-                    f"{node.name} on non-adjacent qubits ({a}, {b}) "
-                    f"[node {node.index}]"
+                    f"{gate.name} on non-adjacent qubits ({a}, {b}) "
+                    f"[node {node}]"
                 )
-        elif gate.num_qubits == 3 and node.name in ("ccx", "ccz", "cswap"):
-            a, b, c = node.qubits
+        elif gate.num_qubits == 3 and gate.name in ("ccx", "ccz", "cswap"):
+            a, b, c = instruction.qubits
             adjacent = sum(
                 coupling_map.are_adjacent(x, y)
                 for x, y in ((a, b), (a, c), (b, c))
             )
             if adjacent < 2:
                 return (
-                    f"{node.name} trio ({a}, {b}, {c}) is not connected on "
-                    f"the device [node {node.index}]"
+                    f"{gate.name} trio ({a}, {b}, {c}) is not connected on "
+                    f"the device [node {node}]"
                 )
         elif gate.num_qubits >= 3:
             return (
-                f"{gate.num_qubits}q unitary {node.name!r} survives trio "
-                f"routing [node {node.index}]"
+                f"{gate.num_qubits}q unitary {gate.name!r} survives trio "
+                f"routing [node {node}]"
             )
     return None
 
 
 def _check_decomposed(dag: DagCircuit, properties) -> Optional[str]:
-    for node in dag:
-        gate = node.instruction.gate
+    for node, instruction in enumerate(dag.instructions):
+        gate = instruction.gate
         if gate.is_unitary and gate.num_qubits >= 3:
             return (
-                f"{gate.num_qubits}q unitary {node.name!r} survives "
-                f"decomposition [node {node.index}]"
+                f"{gate.num_qubits}q unitary {gate.name!r} survives "
+                f"decomposition [node {node}]"
             )
     return None
 
 
 def _check_swaps_expanded(dag: DagCircuit, properties) -> Optional[str]:
-    for node in dag:
-        if node.name == "swap":
-            return f"swap gate survives expansion [node {node.index}]"
+    for node, instruction in enumerate(dag.instructions):
+        if instruction.name == "swap":
+            return f"swap gate survives expansion [node {node}]"
     return None
 
 

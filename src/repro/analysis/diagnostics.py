@@ -1,10 +1,10 @@
 """Structured findings emitted by the circuit linter.
 
 Every rule in :mod:`repro.analysis.rules` reports :class:`Diagnostic` objects
-with a stable code (``QL001`` ...), a :class:`Severity`, a human-readable
-message, and — when the finding is anchored to a specific instruction — the
-DAG node's creation index and qubits, so a caller can map the finding back to
-the offending instruction.  A :class:`LintReport` bundles the findings of one
+with a stable code (``QL003`` ...), a :class:`Severity`, a human-readable
+message, and — when the finding is anchored to a specific instruction — its
+position in the linted table and its qubits, so a caller can map the finding
+back to the offending instruction.  A :class:`LintReport` bundles the findings of one
 lint run with filtering, table/JSON rendering and the suppression bookkeeping
 used by the ``repro lint`` CLI.
 """
@@ -47,7 +47,7 @@ class Diagnostic:
     message: str
     #: Qubits (or device wires) the finding concerns, when applicable.
     qubits: Tuple[int, ...] = ()
-    #: Creation index of the offending DAG node (``DagNode.index``), if any.
+    #: Position of the offending instruction in the linted table, if any.
     node_index: Optional[int] = None
     #: Name of the offending instruction's gate, if any.
     gate: Optional[str] = None

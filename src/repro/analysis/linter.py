@@ -30,7 +30,7 @@ from .rules import ALL_RULES, RULES_BY_CODE, LintContext, LintRule
 
 #: Codes of the purely structural IR rules (run by the contract validator's
 #: ``full`` mode after every pass, where no layout/target context applies).
-STRUCTURAL_CODES: Tuple[str, ...] = ("QL001", "QL002", "QL003", "QL004", "QL005")
+STRUCTURAL_CODES: Tuple[str, ...] = ("QL003", "QL004", "QL005")
 
 
 def _as_mapping(layout) -> Optional[Dict[int, int]]:

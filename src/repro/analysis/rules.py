@@ -4,9 +4,8 @@ Rules are small classes with a stable ``code`` (``QL0xx`` structural IR
 invariants, ``QL1xx`` hardware legality, ``QL2xx`` resource/usage analyses),
 a default :class:`~repro.analysis.diagnostics.Severity` and a ``check``
 method that yields :class:`~repro.analysis.diagnostics.Diagnostic` objects.
-All rules run over a shared :class:`LintContext` that pre-computes the DAG
-walk once (linear positions, per-wire recounts), so a full lint stays O(n)
-in the circuit size regardless of how many rules are registered.
+All rules run over a shared :class:`LintContext` holding the instruction
+table, so a full lint stays O(n) in the circuit size per registered rule.
 
 Unlike the simulation-based equivalence harness (bounded at ~20 qubits),
 every rule here is purely structural and runs at any width — this is the
@@ -15,9 +14,10 @@ machine check that covers the Figure 9/10 cells the dynamic verifier skips.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Type
 
-from ..circuits.dag import DagCircuit, DagNode
+from ..circuits.circuit import Instruction
+from ..circuits.dag import DagCircuit
 from ..hardware.target import Target
 from .diagnostics import Diagnostic, Severity
 
@@ -44,22 +44,9 @@ class LintContext:
         self.target = target
         self.initial_layout = initial_layout
         self.final_layout = final_layout
-        #: Nodes in linear (claimed topological) order, walked via ``_next``.
-        self.linear: List[DagNode] = []
-        #: Linear position of each node (by identity).
-        self.position: Dict[DagNode, int] = {}
-        node = dag.head
-        guard = 0
-        limit = len(dag) + 2  # a corrupted chain may disagree with _size
-        while node is not None and guard <= limit:
-            self.linear.append(node)
-            self.position[node] = guard
-            node = node.next_node
-            guard += 1
-        #: Wires (qubits and encoded clbits) each reachable node touches.
-        self.wires_of: Dict[DagNode, Sequence[int]] = {
-            n: DagCircuit._wires_of(n.instruction) for n in self.linear
-        }
+        #: The table's entries in linear (topological) order; a rule's node
+        #: is a position in this list.
+        self.instructions: List[Instruction] = dag.instructions
 
     @property
     def num_qubits(self) -> int:
@@ -82,7 +69,8 @@ class LintRule:
         self,
         message: str,
         qubits: Tuple[int, ...] = (),
-        node: Optional[DagNode] = None,
+        node: Optional[int] = None,
+        instruction: Optional[Instruction] = None,
         severity: Optional[Severity] = None,
     ) -> Diagnostic:
         """Build a diagnostic carrying this rule's code and severity."""
@@ -91,107 +79,14 @@ class LintRule:
             severity=severity if severity is not None else self.severity,
             message=message,
             qubits=qubits,
-            node_index=node.index if node is not None else None,
-            gate=node.name if node is not None else None,
+            node_index=node,
+            gate=instruction.name if instruction is not None else None,
         )
 
 
 # ----------------------------------------------------------------------
 # QL0xx — structural IR invariants
 # ----------------------------------------------------------------------
-class WireChainConsistencyRule(LintRule):
-    """QL001: per-wire chains must be symmetric and match the node's wires."""
-
-    code = "QL001"
-    severity = Severity.ERROR
-    description = "wire-chain links are asymmetric, broken or mismatched"
-
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        dag = ctx.dag
-        seen_wires: Set[int] = set()
-        for node in ctx.linear:
-            expected = ctx.wires_of[node]
-            actual = sorted(node._wprev)
-            if sorted(expected) != actual or sorted(node._wnext) != actual:
-                yield self.make(
-                    f"node {node.index} ({node.name}) is linked on wires "
-                    f"{actual} but its instruction touches {sorted(expected)}",
-                    qubits=node.qubits,
-                    node=node,
-                )
-                continue
-            for wire in expected:
-                seen_wires.add(wire)
-                nxt = node._wnext[wire]
-                if nxt is not None and nxt._wprev.get(wire) is not node:
-                    yield self.make(
-                        f"wire {wire} chain is asymmetric after node "
-                        f"{node.index} ({node.name}): its successor does not "
-                        "link back",
-                        qubits=node.qubits,
-                        node=node,
-                    )
-                prev = node._wprev[wire]
-                if prev is None and dag.wire_front(wire) is not node:
-                    yield self.make(
-                        f"node {node.index} ({node.name}) has no predecessor "
-                        f"on wire {wire} but is not the wire's recorded front",
-                        qubits=node.qubits,
-                        node=node,
-                    )
-                if nxt is None and dag.wire_back(wire) is not node:
-                    yield self.make(
-                        f"node {node.index} ({node.name}) has no successor "
-                        f"on wire {wire} but is not the wire's recorded back",
-                        qubits=node.qubits,
-                        node=node,
-                    )
-        for wire in list(dag._wire_first) + list(dag._wire_last):
-            if wire not in seen_wires:
-                yield self.make(
-                    f"wire {wire} has recorded endpoints but no reachable "
-                    "instruction touches it",
-                    qubits=(wire,) if wire >= 0 else (),
-                )
-                seen_wires.add(wire)
-
-
-class DanglingNodeRule(LintRule):
-    """QL002: the linear chain must be symmetric, sized and fully in-DAG."""
-
-    code = "QL002"
-    severity = Severity.ERROR
-    description = "dangling node or corrupted linear chain"
-
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        dag = ctx.dag
-        for node in ctx.linear:
-            if not node._in_dag:
-                yield self.make(
-                    f"node {node.index} ({node.name}) is reachable from the "
-                    "head but marked as removed",
-                    qubits=node.qubits,
-                    node=node,
-                )
-            nxt = node.next_node
-            if nxt is not None and nxt.prev_node is not node:
-                yield self.make(
-                    f"linear chain is asymmetric after node {node.index} "
-                    f"({node.name}): its successor does not link back",
-                    qubits=node.qubits,
-                    node=node,
-                )
-        if ctx.linear and dag.tail is not ctx.linear[-1]:
-            yield self.make(
-                "the DAG's recorded tail is not the last reachable node"
-            )
-        if len(ctx.linear) != len(dag):
-            yield self.make(
-                f"the DAG reports {len(dag)} nodes but {len(ctx.linear)} are "
-                "reachable from the head"
-            )
-
-
 class DuplicateQubitArgsRule(LintRule):
     """QL003: an instruction must not name the same qubit twice."""
 
@@ -200,13 +95,14 @@ class DuplicateQubitArgsRule(LintRule):
     description = "instruction applies a gate to a repeated qubit"
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        for node in ctx.linear:
-            qubits = node.qubits
+        for node, instruction in enumerate(ctx.instructions):
+            qubits = instruction.qubits
             if len(set(qubits)) != len(qubits):
                 yield self.make(
-                    f"{node.name} applied to repeated qubit arguments {qubits}",
+                    f"{instruction.name} applied to repeated qubit arguments {qubits}",
                     qubits=qubits,
                     node=node,
+                    instruction=instruction,
                 )
 
 
@@ -218,38 +114,35 @@ class QubitRangeRule(LintRule):
     description = "qubit index outside the circuit register"
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        for node in ctx.linear:
-            for qubit in node.qubits:
+        for node, instruction in enumerate(ctx.instructions):
+            for qubit in instruction.qubits:
                 if not 0 <= qubit < ctx.num_qubits:
                     yield self.make(
-                        f"{node.name} touches qubit {qubit}, outside the "
+                        f"{instruction.name} touches qubit {qubit}, outside the "
                         f"{ctx.num_qubits}-qubit register",
-                        qubits=node.qubits,
+                        qubits=instruction.qubits,
                         node=node,
+                        instruction=instruction,
                     )
 
 
 class TopologicalOrderRule(LintRule):
-    """QL005: wire-chain order must agree with the linear (topological) order."""
+    """QL005: every wire successor must come later in the linear order."""
 
     code = "QL005"
     severity = Severity.ERROR
     description = "wire chain disagrees with the linear instruction order"
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        for node in ctx.linear:
-            base = ctx.position[node]
-            for wire, nxt in node._wnext.items():
-                if nxt is None:
-                    continue
-                successor_position = ctx.position.get(nxt)
-                if successor_position is None or successor_position <= base:
+        for node, instruction in enumerate(ctx.instructions):
+            for successor in ctx.dag.successors(node):
+                if successor <= node:
                     yield self.make(
-                        f"wire {wire} orders node {node.index} ({node.name}) "
-                        f"before node {nxt.index} ({nxt.name}) but the linear "
-                        "order disagrees",
-                        qubits=node.qubits,
+                        f"node {node} ({instruction.name}) has wire successor "
+                        f"{successor} but the linear order disagrees",
+                        qubits=instruction.qubits,
                         node=node,
+                        instruction=instruction,
                     )
 
 
@@ -267,20 +160,21 @@ class CouplingEdgeRule(LintRule):
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
         assert ctx.target is not None
         coupling_map = ctx.target.coupling_map
-        for node in ctx.linear:
-            gate = node.instruction.gate
+        for node, instruction in enumerate(ctx.instructions):
+            gate = instruction.gate
             if not gate.is_unitary or gate.num_qubits != 2:
                 continue
-            a, b = node.qubits
+            a, b = instruction.qubits
             if a == b or not 0 <= a < coupling_map.num_qubits \
                     or not 0 <= b < coupling_map.num_qubits:
                 continue  # QL003/QL104 report these
             if not coupling_map.are_adjacent(a, b):
                 yield self.make(
-                    f"{node.name} on qubits ({a}, {b}) but the device has no "
+                    f"{instruction.name} on qubits ({a}, {b}) but the device has no "
                     f"({a}, {b}) coupling",
-                    qubits=node.qubits,
+                    qubits=instruction.qubits,
                     node=node,
+                    instruction=instruction,
                 )
 
 
@@ -302,19 +196,20 @@ class EdgeDirectionRule(LintRule):
         directed = ctx.target.directed_edges
         if not directed:
             return
-        for node in ctx.linear:
-            gate = node.instruction.gate
+        for node, instruction in enumerate(ctx.instructions):
+            gate = instruction.gate
             if not gate.is_unitary or gate.num_qubits != 2:
                 continue
-            if node.name in SYMMETRIC_2Q_GATES:
+            if instruction.name in SYMMETRIC_2Q_GATES:
                 continue
-            pair = (node.qubits[0], node.qubits[1])
+            pair = (instruction.qubits[0], instruction.qubits[1])
             if pair not in directed and (pair[1], pair[0]) in directed:
                 yield self.make(
-                    f"{node.name} on qubits {pair} runs against the native "
+                    f"{instruction.name} on qubits {pair} runs against the native "
                     f"direction; the device only drives ({pair[1]}, {pair[0]})",
-                    qubits=node.qubits,
+                    qubits=instruction.qubits,
                     node=node,
+                    instruction=instruction,
                 )
 
 
@@ -335,24 +230,26 @@ class BasisGateRule(LintRule):
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
         assert ctx.target is not None
         legal = set(ctx.target.basis_gates) | set(ALWAYS_LEGAL_NAMES)
-        for node in ctx.linear:
-            gate = node.instruction.gate
-            if not gate.is_unitary or node.name in legal:
+        for node, instruction in enumerate(ctx.instructions):
+            gate = instruction.gate
+            if not gate.is_unitary or instruction.name in legal:
                 continue
             if gate.num_qubits == 1:
                 yield self.make(
-                    f"1q gate {node.name!r} is outside the "
+                    f"1q gate {instruction.name!r} is outside the "
                     f"{'/'.join(ctx.target.basis_gates)} basis (synthesisable)",
-                    qubits=node.qubits,
+                    qubits=instruction.qubits,
                     node=node,
+                    instruction=instruction,
                     severity=Severity.WARNING,
                 )
             else:
                 yield self.make(
-                    f"{gate.num_qubits}q gate {node.name!r} is outside the "
+                    f"{gate.num_qubits}q gate {instruction.name!r} is outside the "
                     f"{'/'.join(ctx.target.basis_gates)} basis",
-                    qubits=node.qubits,
+                    qubits=instruction.qubits,
                     node=node,
+                    instruction=instruction,
                 )
 
 
@@ -367,14 +264,15 @@ class DeviceSizeRule(LintRule):
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
         assert ctx.target is not None
         device_size = ctx.target.num_qubits
-        for node in ctx.linear:
-            for qubit in node.qubits:
+        for node, instruction in enumerate(ctx.instructions):
+            for qubit in instruction.qubits:
                 if qubit >= device_size:
                     yield self.make(
-                        f"{node.name} touches qubit {qubit} but the device "
+                        f"{instruction.name} touches qubit {qubit} but the device "
                         f"has only {device_size} qubits",
-                        qubits=node.qubits,
+                        qubits=instruction.qubits,
                         node=node,
+                        instruction=instruction,
                     )
 
 
@@ -437,14 +335,15 @@ class MultiQubitGateRule(LintRule):
     needs_target = True
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        for node in ctx.linear:
-            gate = node.instruction.gate
+        for node, instruction in enumerate(ctx.instructions):
+            gate = instruction.gate
             if gate.is_unitary and gate.num_qubits >= 3:
                 yield self.make(
-                    f"{gate.num_qubits}q unitary {node.name!r} has no native "
+                    f"{gate.num_qubits}q unitary {instruction.name!r} has no native "
                     "implementation; decompose it first",
-                    qubits=node.qubits,
+                    qubits=instruction.qubits,
                     node=node,
+                    instruction=instruction,
                 )
 
 
@@ -460,8 +359,8 @@ class IdleQubitRule(LintRule):
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
         touched: Set[int] = set()
-        for node in ctx.linear:
-            touched.update(node.qubits)
+        for node, instruction in enumerate(ctx.instructions):
+            touched.update(instruction.qubits)
         idle = sorted(set(range(ctx.num_qubits)) - touched)
         if idle:
             yield self.make(
@@ -486,11 +385,11 @@ class MeasurementCoverageRule(LintRule):
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
         active: Set[int] = set()
         measured: Set[int] = set()
-        for node in ctx.linear:
-            if node.name == "measure":
-                measured.update(node.qubits)
-            elif node.instruction.gate.is_unitary:
-                active.update(node.qubits)
+        for node, instruction in enumerate(ctx.instructions):
+            if instruction.name == "measure":
+                measured.update(instruction.qubits)
+            elif instruction.gate.is_unitary:
+                active.update(instruction.qubits)
         if not measured:
             if active:
                 yield self.make(
@@ -513,17 +412,18 @@ class ClobberedClbitRule(LintRule):
     description = "classical bit overwritten by a second measurement"
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        writer: Dict[int, DagNode] = {}
-        for node in ctx.linear:
-            if node.name != "measure":
+        writer: Dict[int, int] = {}
+        for node, instruction in enumerate(ctx.instructions):
+            if instruction.name != "measure":
                 continue
-            for clbit in node.clbits:
+            for clbit in instruction.clbits:
                 if clbit in writer:
                     yield self.make(
                         f"measurement into clbit {clbit} overwrites the "
-                        f"result recorded by node {writer[clbit].index}",
-                        qubits=node.qubits,
+                        f"result recorded by node {writer[clbit]}",
+                        qubits=instruction.qubits,
                         node=node,
+                        instruction=instruction,
                     )
                 writer[clbit] = node
 
@@ -536,22 +436,23 @@ class OperationAfterMeasureRule(LintRule):
     description = "gate applied after the qubit was measured"
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        measured_at: Dict[int, DagNode] = {}
-        for node in ctx.linear:
-            if node.name == "measure":
-                for qubit in node.qubits:
+        measured_at: Dict[int, int] = {}
+        for node, instruction in enumerate(ctx.instructions):
+            if instruction.name == "measure":
+                for qubit in instruction.qubits:
                     measured_at[qubit] = node
                 continue
-            if not node.instruction.gate.is_unitary:
+            if not instruction.gate.is_unitary:
                 continue
-            for qubit in node.qubits:
+            for qubit in instruction.qubits:
                 if qubit in measured_at:
                     yield self.make(
-                        f"{node.name} acts on qubit {qubit} after it was "
-                        f"measured (node {measured_at[qubit].index}); the "
+                        f"{instruction.name} acts on qubit {qubit} after it was "
+                        f"measured (node {measured_at[qubit]}); the "
                         "result no longer reflects the final state",
-                        qubits=node.qubits,
+                        qubits=instruction.qubits,
                         node=node,
+                        instruction=instruction,
                     )
                     del measured_at[qubit]  # one finding per measurement
 
@@ -582,26 +483,26 @@ class AncillaReturnRule(LintRule):
             tail = ctx.dag.wire_back(wire)
             if tail is None:
                 continue
-            gate = tail.instruction.gate
+            instruction = ctx.instructions[tail]
+            gate = instruction.gate
             if (
                 gate.is_unitary
                 and gate.num_qubits == 1
                 and not gate.is_identity()
             ):
                 yield self.make(
-                    f"ancilla wire {wire} ends with {tail.name}; ancillas "
+                    f"ancilla wire {wire} ends with {instruction.name}; ancillas "
                     "must be returned to |0⟩ for the routed circuit to be "
                     "equivalent",
                     qubits=(wire,),
                     node=tail,
+                    instruction=instruction,
                 )
 
 
 #: Every registered rule, in code order.  ``CircuitLinter`` instantiates from
 #: this list; new rules only need to be appended here.
 ALL_RULES: Tuple[Type[LintRule], ...] = (
-    WireChainConsistencyRule,
-    DanglingNodeRule,
     DuplicateQubitArgsRule,
     QubitRangeRule,
     TopologicalOrderRule,

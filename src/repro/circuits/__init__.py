@@ -2,7 +2,7 @@
 
 from .gate import Gate, gate_matrix, KNOWN_GATE_NAMES
 from .circuit import Instruction, QuantumCircuit
-from .dag import DagCircuit, DagNode, circuit_layers
+from .dag import DagCircuit, circuit_layers
 from .qasm import to_qasm, from_qasm
 from .drawing import draw
 from . import library
@@ -15,7 +15,6 @@ __all__ = [
     "Instruction",
     "QuantumCircuit",
     "DagCircuit",
-    "DagNode",
     "circuit_layers",
     "to_qasm",
     "from_qasm",

@@ -127,9 +127,8 @@ class QuantumCircuit:
     # Pickling / copying
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
-        # The cached DagCircuit is a deep doubly-linked node chain; pickling
-        # it recurses past the interpreter limit on large circuits.  Every
-        # cache entry is recomputable, so drop the cache instead.
+        # Every cache entry (metrics, the shared dependency table) is
+        # recomputable, so pickles carry the instructions only.
         state = dict(self.__dict__)
         state["_cache"] = {}
         return state
@@ -261,19 +260,17 @@ class QuantumCircuit:
     # Queries and metrics
     # ------------------------------------------------------------------
     def dag(self) -> "DagCircuit":
-        """The circuit's dependency DAG, built once and shared (frozen).
+        """The circuit's dependency table, built once and shared.
 
-        The depth metric, the drawer, the scheduler and the success estimator
-        all consume this view instead of rebuilding a graph per call.  The
-        cached DAG is frozen (read-only); passes that rewrite the circuit use
-        ``DagCircuit.from_circuit`` for a private mutable copy.  Appending to
-        the circuit invalidates the cache.
+        The depth metric, the drawer and the scheduler consume this view
+        instead of rebuilding a table per call.  Tables are immutable, so
+        sharing is safe; appending to the circuit invalidates the cache.
         """
         cached = self._cache.get("dag")
         if cached is None:
             from .dag import DagCircuit
 
-            cached = DagCircuit.from_circuit(self).freeze()
+            cached = DagCircuit.from_circuit(self)
             self._cache["dag"] = cached
         return cached
 

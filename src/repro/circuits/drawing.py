@@ -57,7 +57,11 @@ def draw(circuit: QuantumCircuit, max_columns: Optional[int] = None) -> str:
     max_columns = max_columns or _DEFAULT_MAX_COLUMNS
     # Layers come from the circuit's shared, memoized DAG — drawing the same
     # circuit repeatedly (or after computing its depth) reuses one graph.
-    layers = circuit.dag().layers(ignore=())
+    dag = circuit.dag()
+    layers = [
+        [dag.instructions[index] for index in layer]
+        for layer in dag.layers(ignore=())
+    ]
     truncated = False
     if len(layers) > max_columns:
         layers = layers[:max_columns]
@@ -68,10 +72,10 @@ def draw(circuit: QuantumCircuit, max_columns: Optional[int] = None) -> str:
     for layer in layers:
         cells: Dict[int, str] = {}
         in_span: Dict[int, bool] = {}
-        for node in layer:
-            cells.update(_column_symbols(node.instruction))
-            qubits = node.instruction.qubits
-            if len(qubits) > 1 and node.instruction.name != "barrier":
+        for instruction in layer:
+            cells.update(_column_symbols(instruction))
+            qubits = instruction.qubits
+            if len(qubits) > 1 and instruction.name != "barrier":
                 low, high = min(qubits), max(qubits)
                 for wire in range(low, high + 1):
                     in_span[wire] = True

@@ -14,7 +14,7 @@ IR (:data:`PIPELINES`):
 Each stage name maps to a builder (:data:`STAGE_BUILDERS`) that instantiates
 the stage's passes for a given :class:`~repro.hardware.target.Target` and
 option set, so new pipelines are a new name list away.  The optimisation stage
-wraps the clean-up passes in a :class:`~repro.passes.base.FixedPoint` loop
+wraps the clean-up passes in a :class:`~repro.passes.optimization.CleanupLoop`
 that iterates cancellation/consolidation to convergence.
 
 Every compile option is named, defaulted and validated in one frozen
@@ -61,6 +61,7 @@ from ..passes.layout import (
 )
 from ..passes.optimization import (
     CancelAdjacentInversesPass,
+    CleanupLoop,
     Consolidate1qRunsPass,
     DecomposeSwapsPass,
     RemoveIdentitiesPass,
@@ -329,15 +330,9 @@ class _TranspileContext:
     validate_mode: str
 
 
-def _cleanup_loop() -> FixedPoint:
+def _cleanup_loop() -> CleanupLoop:
     """The convergent light-optimisation loop shared by every pipeline."""
-    return FixedPoint(
-        [
-            CancelAdjacentInversesPass(),
-            Consolidate1qRunsPass(),
-            RemoveIdentitiesPass(),
-        ]
-    )
+    return CleanupLoop()
 
 
 def _commutation_loop() -> FixedPoint:

@@ -33,6 +33,7 @@ from .optimization import (
     DecomposeSwapsPass,
     RemoveBarriersPass,
     CancelAdjacentInversesPass,
+    CleanupLoop,
     Consolidate1qRunsPass,
     RemoveIdentitiesPass,
     is_inverse_pair,
@@ -79,6 +80,7 @@ __all__ = [
     "DecomposeSwapsPass",
     "RemoveBarriersPass",
     "CancelAdjacentInversesPass",
+    "CleanupLoop",
     "Consolidate1qRunsPass",
     "RemoveIdentitiesPass",
     "is_inverse_pair",

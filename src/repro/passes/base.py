@@ -1,27 +1,28 @@
-"""Pass framework: DAG-based passes, stages, fixed-point loops and telemetry.
+"""Pass framework: table-based passes, stages, fixed-point loops and telemetry.
 
-Every pass runs on the :class:`~repro.circuits.dag.DagCircuit` IR:
+Every pass runs on the :class:`~repro.circuits.dag.DagCircuit` IR, a flat
+and immutable instruction table:
 
-* an :class:`AnalysisPass` inspects the DAG and records results in the
+* an :class:`AnalysisPass` inspects the table and records results in the
   :class:`PropertySet` (layout selection, scheduling, ...);
-* a :class:`TransformationPass` rewrites the DAG — in place for local rewrites
-  (decomposition, cancellation, consolidation) or by building a fresh DAG when
-  the wire set changes (routing onto physical qubits).
+* a :class:`TransformationPass` builds its output table in one forward pass
+  over its input (decomposition, cancellation, consolidation, routing onto
+  physical qubits) and returns its input object unchanged when it rewrote
+  nothing.
 
 A :class:`PassManager` executes named :class:`Stage` groups in order,
-converting the input circuit to a DAG exactly once and back exactly once, and
-records one :class:`repro.obs.Span` per executed pass in
+converting the input circuit to a table exactly once and back exactly once,
+and records one :class:`repro.obs.Span` per executed pass in
 ``properties["pass_spans"]`` (mirrored into the global trace when
 :mod:`repro.obs` is enabled); the legacy ``properties["pass_timings"]`` dict
 list is synthesized from those spans on access.  The :class:`FixedPoint`
-combinator repeats a
-pass group until a whole sweep makes no structural modification, which is how
-the optimisation stage iterates cancellation/consolidation to convergence
-instead of one hard-coded sweep.
+combinator repeats a pass group until a whole sweep changes nothing, which
+is how the optimisation stage iterates cancellation/consolidation to
+convergence instead of one hard-coded sweep.
 
-For convenience (and backwards compatibility with the list-IR era) every pass
-also accepts a plain :class:`~repro.circuits.circuit.QuantumCircuit` in
-:meth:`BasePass.run` and returns a circuit in that case.
+For convenience every pass also accepts a plain
+:class:`~repro.circuits.circuit.QuantumCircuit` in :meth:`BasePass.run` and
+returns a circuit in that case.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def record_pass_span(
 
 
 class BasePass(ABC):
-    """A single compilation step running on the DAG IR."""
+    """A single compilation step running on the table IR."""
 
     #: Set by combinators (e.g. :class:`FixedPoint`) that time their inner
     #: passes themselves, so the pass manager does not double-record them.
@@ -152,18 +153,18 @@ class BasePass(ABC):
 
     @abstractmethod
     def execute(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
-        """Run on ``dag`` and return the (possibly new, possibly same) DAG."""
+        """Run on ``dag`` and return the resulting table (``dag`` itself if unchanged)."""
 
     def run(
         self,
         circuit: Union[QuantumCircuit, DagCircuit],
         properties: Optional[PropertySet] = None,
     ):
-        """Convenience entry point accepting a circuit or a DAG.
+        """Convenience entry point accepting a circuit or a table.
 
-        Given a :class:`QuantumCircuit`, converts to a DAG, executes, and
+        Given a :class:`QuantumCircuit`, converts to a table, executes, and
         converts back; given a :class:`DagCircuit`, executes directly and
-        returns the DAG.
+        returns the resulting table.
         """
         properties = properties if properties is not None else PropertySet()
         if isinstance(circuit, DagCircuit):
@@ -179,7 +180,7 @@ class BasePass(ABC):
 
 
 class AnalysisPass(BasePass):
-    """A pass that inspects the DAG and writes results into the property set."""
+    """A pass that inspects the table and writes results into the property set."""
 
     @abstractmethod
     def analyze(self, dag: DagCircuit, properties: PropertySet) -> None:
@@ -198,14 +199,14 @@ class AnalysisPass(BasePass):
         if isinstance(circuit, DagCircuit):
             self.analyze(circuit, properties)
             return circuit
-        # Analysis never mutates, so the circuit's shared memoized DAG is the
+        # Analysis only reads, so the circuit's shared memoized table is the
         # right view — no rebuild, no copy.
         self.analyze(circuit.dag(), properties)
         return circuit
 
 
 class TransformationPass(BasePass):
-    """A pass that rewrites the DAG (in place or by returning a new one)."""
+    """A pass that rewrites the table by returning a new one."""
 
     #: Any rewrite invalidates a previously computed schedule by default;
     #: passes that keep timing intact override this back to ``()``.
@@ -213,7 +214,7 @@ class TransformationPass(BasePass):
 
     @abstractmethod
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
-        """Rewrite ``dag``; return the resulting DAG (may be ``dag`` itself)."""
+        """Rewrite ``dag``; return the new table, or ``dag`` itself if unchanged."""
 
     def execute(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
         out = self.run_dag(dag, properties)
@@ -222,24 +223,30 @@ class TransformationPass(BasePass):
         return out
 
 
-def _same_instruction_sequence(left: Sequence, right: Sequence) -> bool:
-    """True when both linearisations hold identical instruction objects."""
-    if len(left) != len(right):
+def _same_table(left: DagCircuit, right: DagCircuit) -> bool:
+    """True when two tables hold the same entries with the same flags."""
+    if left is right:
+        return True
+    if left.num_qubits != right.num_qubits or len(left) != len(right):
         return False
-    return all(a is b or a == b for a, b in zip(left, right))
+    if left.canonical_1q != right.canonical_1q:
+        return False
+    return all(
+        a is b or a == b for a, b in zip(left.instructions, right.instructions)
+    )
 
 
 class FixedPoint(TransformationPass):
-    """Repeat a pass group until a full sweep makes no structural change.
+    """Repeat a pass group until a full sweep changes nothing.
 
-    Convergence is detected through :attr:`DagCircuit.modification_count`: a
-    sweep that neither removes, inserts nor substitutes any node (on the same
-    DAG object) is a fixed point.  Passes that rebuild a fresh DAG instead of
-    mutating in place are supported through an O(n) fallback comparing the
-    instruction sequences (instructions are immutable and shared, so an
-    unchanged rebuild carries the same objects).  The passes in the group are
+    Passes return their input table when they rewrite nothing, so a sweep
+    that hands back the table it started from is a fixed point.  A pass
+    that rebuilds an identical table (same entries, same flags) is
+    recognised by comparing the two tables.  The passes in the group are
     responsible for not reporting byte-churn as progress (see
     :class:`~repro.passes.optimization.Consolidate1qRunsPass`).
+    Subclasses with a cheaper convergence argument override
+    :meth:`converged`.
     """
 
     records_own_telemetry = True
@@ -304,15 +311,14 @@ class FixedPoint(TransformationPass):
     def checks(self) -> Tuple[str, ...]:  # type: ignore[override]
         return self._simulate_sweep()[3]
 
+    def converged(self, before: DagCircuit, after: DagCircuit) -> bool:
+        """Whether the sweep that turned ``before`` into ``after`` ends the loop."""
+        return _same_table(before, after)
+
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
         stage = properties.get("_current_stage")
         for iteration in range(1, self.max_iterations + 1):
-            before_dag = dag
-            before_mods = dag.modification_count
-            # Snapshot for the rebuild fallback below: `before_dag` itself may
-            # be mutated in place during the sweep, so comparing against the
-            # object at sweep end would miss those changes.
-            before_instructions = dag.instructions
+            before = dag
             for single_pass in self.passes:
                 start = obs.now()
                 size_before = len(dag)
@@ -328,17 +334,7 @@ class FixedPoint(TransformationPass):
                     size_before,
                     len(dag),
                 )
-            if dag is before_dag:
-                converged = dag.modification_count == before_mods
-            else:
-                # A pass rebuilt the DAG; compare content against the
-                # sweep-start snapshot instead of counters.
-                converged = dag.num_qubits == before_dag.num_qubits and (
-                    _same_instruction_sequence(
-                        dag.instructions, before_instructions
-                    )
-                )
-            if converged:
+            if self.converged(before, dag):
                 properties.setdefault("fixed_point_iterations", []).append(iteration)
                 return dag
         raise TranspilerError(
@@ -361,18 +357,18 @@ class Stage:
 
 
 class PassManager:
-    """Runs stages (or a flat pass list) over a circuit via the DAG IR.
+    """Runs stages (or a flat pass list) over a circuit via the table IR.
 
     The input circuit is converted to a :class:`DagCircuit` once, every pass
-    runs on the DAG, and the final DAG is linearised back to a circuit once —
-    transformation passes never round-trip through an instruction list.
+    runs on the table, and the final table is converted back to a circuit
+    once.
 
     ``validate`` selects contract checking (see
     :mod:`repro.analysis.contracts`): ``"off"`` runs no checks,
     ``"contracts"`` (or ``True``) checks the declared
     ``requires``/``establishes``/``invalidates`` contracts and per-pass
     ``checks``, ``"full"`` additionally lints the IR structurally and
-    re-verifies held properties against the DAG after every pass.  ``None``
+    re-verifies held properties against the table after every pass.  ``None``
     (the default) defers to the ``REPRO_VALIDATE`` environment variable,
     which the test suite and CI set to ``full``.
     """
@@ -426,8 +422,8 @@ class PassManager:
     ) -> Tuple[Union[QuantumCircuit, DagCircuit], PropertySet]:
         """Run every pass in order; returns the final circuit and properties.
 
-        The return type mirrors the input: a circuit in, a circuit out; a DAG
-        in, a DAG out.
+        The return type mirrors the input: a circuit in, a circuit out; a
+        table in, a table out.
         """
         properties = properties if properties is not None else PropertySet()
         was_circuit = isinstance(circuit, QuantumCircuit)

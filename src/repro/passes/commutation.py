@@ -11,7 +11,7 @@ exposes (§5.2 follow-ons).  This module cancels through them:
   memoized per (gate, gate, relative-placement) triple, so the matrix algebra
   runs once per distinct gate pair, not once per circuit site.
 * :class:`CommutationAnalysisPass` is an :class:`~repro.passes.base.AnalysisPass`
-  that walks every wire chain of the DAG and groups consecutive instructions
+  that walks every wire of the table and groups consecutive instructions
   into maximal *commutation runs* — spans in which every pair of instructions
   commutes.  The runs are recorded in the property set.
 * :class:`CommutativeCancellationPass` consumes those runs: any two gates in
@@ -31,12 +31,12 @@ wires commute trivially — so ``a`` can be displaced until it is adjacent to
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..circuits.circuit import Instruction, QuantumCircuit
-from ..circuits.dag import DagCircuit, DagNode
+from ..circuits.dag import DagCircuit
 from ..circuits.gate import Gate
 from ..exceptions import TranspilerError
 from .base import AnalysisPass, PropertySet, TransformationPass
@@ -173,18 +173,19 @@ def instructions_commute(first: Instruction, second: Instruction) -> bool:
 class CommutationSets:
     """Per-wire commutation runs computed by :class:`CommutationAnalysisPass`.
 
-    For each qubit wire, ``runs(wire)`` is the wire's instruction chain split
-    into maximal spans of pairwise-commuting instructions, in program order;
+    For each qubit wire, ``runs(wire)`` is the wire's node chain split into
+    maximal spans of pairwise-commuting instructions, in program order;
     ``run_index(node, wire)`` is the position of ``node``'s span on ``wire``.
-    Two instructions that share the same run index on *every* common wire can
-    be made adjacent by commuting.
+    Nodes are indices into the analysed table, so the sets pickle as plain
+    data.  Two instructions that share the same run index on *every* common
+    wire can be made adjacent by commuting.
     """
 
     def __init__(self) -> None:
-        self._runs_by_wire: Dict[int, List[List[DagNode]]] = {}
-        self._index: Dict[Tuple[DagNode, int], int] = {}
+        self._runs_by_wire: Dict[int, List[List[int]]] = {}
+        self._index: Dict[Tuple[int, int], int] = {}
 
-    def _add_run(self, wire: int, run: List[DagNode]) -> None:
+    def _add_run(self, wire: int, run: List[int]) -> None:
         runs = self._runs_by_wire.setdefault(wire, [])
         for node in run:
             self._index[(node, wire)] = len(runs)
@@ -193,23 +194,23 @@ class CommutationSets:
     def wires(self) -> List[int]:
         return list(self._runs_by_wire)
 
-    def runs(self, wire: int) -> List[List[DagNode]]:
+    def runs(self, wire: int) -> List[List[int]]:
         return self._runs_by_wire.get(wire, [])
 
-    def run_index(self, node: DagNode, wire: int) -> int:
+    def run_index(self, node: int, wire: int) -> int:
         try:
             return self._index[(node, wire)]
         except KeyError:
             raise TranspilerError(
-                f"node {node!r} has no commutation run on wire {wire}"
+                f"node {node} has no commutation run on wire {wire}"
             ) from None
 
-    def signature(self, node: DagNode) -> Tuple[int, ...]:
-        """The node's run index on each of its qubit wires, in qubit order."""
-        return tuple(self.run_index(node, wire) for wire in node.qubits)
+    def signature(self, node: int, qubits: Sequence[int]) -> Tuple[int, ...]:
+        """The node's run index on each of its ``qubits``, in qubit order."""
+        return tuple(self.run_index(node, wire) for wire in qubits)
 
     def stats(self) -> Dict[str, float]:
-        """Pickle-safe summary (no node references) for telemetry."""
+        """Summary for telemetry: wires, runs, and run-length extremes."""
         run_lengths = [
             len(run) for runs in self._runs_by_wire.values() for run in runs
         ]
@@ -226,23 +227,23 @@ class CommutationAnalysisPass(AnalysisPass):
 
     Writes two keys:
 
-    * ``"commutation_sets"`` — the :class:`CommutationSets` instance.  It
-      holds live :class:`~repro.circuits.dag.DagNode` references, so it is
-      only valid until the next DAG mutation; transformation passes that
-      consume it (:class:`CommutativeCancellationPass`) pop it when done.
-    * ``"commutation_stats"`` — a pickle-safe ``{wires, runs, max_run,
-      mean_run}`` summary that survives on the
+    * ``"commutation_sets"`` — the :class:`CommutationSets` instance, whose
+      nodes index the analysed table (a rewrite produces a new table, so
+      :class:`CommutativeCancellationPass` analyses its own input).
+    * ``"commutation_stats"`` — a ``{wires, runs, max_run, mean_run}``
+      summary that survives on the
       :class:`~repro.compiler.result.CompilationResult`.
     """
 
     def analyze(self, dag: DagCircuit, properties: PropertySet) -> None:
         sets = CommutationSets()
+        instructions = dag.instructions
         for wire in range(dag.num_qubits):
-            node = dag.wire_front(wire)
-            run: List[DagNode] = []
-            while node is not None:
-                extends_run = bool(run) and node.instruction.gate.is_unitary and all(
-                    instructions_commute(member.instruction, node.instruction)
+            run: List[int] = []
+            for node in dag.wire(wire):
+                instruction = instructions[node]
+                extends_run = bool(run) and instruction.gate.is_unitary and all(
+                    instructions_commute(instructions[member], instruction)
                     for member in run
                 )
                 if extends_run:
@@ -251,7 +252,6 @@ class CommutationAnalysisPass(AnalysisPass):
                     if run:
                         sets._add_run(wire, run)
                     run = [node]
-                node = node.next_on(wire)
             if run:
                 sets._add_run(wire, run)
         properties["commutation_sets"] = sets
@@ -282,12 +282,14 @@ class CommutativeCancellationPass(TransformationPass):
        global phase; a merged ``crz`` is only ever dropped at multiples of
        4π — ``crz(2π) = diag(1, 1, −1, −1)`` is *not* the identity).
 
-    The pass runs its own analysis on entry (its rewrites invalidate node
-    references, so a stale shared analysis would be unsound) and removes the
-    node-bearing ``"commutation_sets"`` entry from the property set when done.
-    Gate count never increases and circuit depth never grows — the pass only
-    removes nodes or rewrites one in place — which is what lets the level-3
-    pipeline guarantee it never regresses the level-2 metrics.
+    The pass analyses its own input on entry and works on node indices: a
+    working copy of the entries, where a merge writes its replacement into
+    the anchor's slot, and a dead mask, where a cancellation or a merge
+    marks the entries it removes.  The ``"commutation_sets"`` entry is
+    removed from the property set when done.  Gate count never increases
+    and circuit depth never grows — the pass only removes entries or
+    rewrites one in place — which is what lets the level-3 pipeline
+    guarantee it never regresses the level-2 metrics.
 
     Args:
         verify: Debug mode — snapshot the circuit before rewriting and
@@ -308,66 +310,80 @@ class CommutativeCancellationPass(TransformationPass):
 
     # ------------------------------------------------------------------
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
-        snapshot: Optional[QuantumCircuit] = None
-        if self.verify and dag.num_qubits <= self.verify_qubit_limit:
-            snapshot = dag.to_circuit()
         CommutationAnalysisPass().analyze(dag, properties)
         sets: CommutationSets = properties.pop("commutation_sets")
-        removed = self._cancel_inverse_pairs(dag, sets)
-        self._merge_rotations(dag, sets, removed)
-        self._merge_diagonal_pairs(dag, sets, removed)
-        if snapshot is not None:
-            self._verify(snapshot, dag)
-        return dag
+        work = list(dag.instructions)
+        flags = list(dag.canonical_1q)
+        dead = [False] * len(work)
+        self._cancel_inverse_pairs(work, dead, sets)
+        self._merge_rotations(work, flags, dead, sets)
+        self._merge_diagonal_pairs(work, flags, dead, sets)
+        if not any(dead):
+            return dag  # every rewrite kills at least one entry
+        keep = [node for node, is_dead in enumerate(dead) if not is_dead]
+        out = dag.derive([work[node] for node in keep], [flags[node] for node in keep])
+        if self.verify and dag.num_qubits <= self.verify_qubit_limit:
+            self._verify(dag.to_circuit(), out.to_circuit())
+        return out
 
     # ------------------------------------------------------------------
-    def _groups(
-        self, dag: DagCircuit, sets: CommutationSets
-    ) -> "Dict[tuple, List[DagNode]]":
-        """Nodes bucketed by (qubits, commutation-run signature), program order."""
-        groups: Dict[tuple, List[DagNode]] = defaultdict(list)
-        for node in dag:
-            instruction = node.instruction
+    @staticmethod
+    def _cancel_inverse_pairs(
+        work: List[Instruction], dead: List[bool], sets: CommutationSets
+    ) -> None:
+        """Stack-match and kill inverse pairs inside each (qubits, signature) group."""
+        groups: Dict[tuple, List[int]] = defaultdict(list)
+        for node, instruction in enumerate(work):
             if not instruction.gate.is_unitary or instruction.clbits:
                 continue
             if not instruction.qubits:
                 continue
-            groups[(instruction.qubits, sets.signature(node))].append(node)
-        return groups
-
-    def _cancel_inverse_pairs(
-        self, dag: DagCircuit, sets: CommutationSets
-    ) -> "set":
-        """Stack-match and remove inverse pairs inside each commuting group."""
-        removed = set()
-        for nodes in self._groups(dag, sets).values():
+            qubits = instruction.qubits
+            groups[(qubits, sets.signature(node, qubits))].append(node)
+        for nodes in groups.values():
             if len(nodes) < 2:
                 continue
-            stack: List[DagNode] = []
+            stack: List[int] = []
             for node in nodes:
-                if stack and is_inverse_pair(
-                    stack[-1].instruction, node.instruction
-                ):
-                    partner = stack.pop()
-                    dag.remove_node(partner)
-                    dag.remove_node(node)
-                    removed.add(partner)
-                    removed.add(node)
+                if stack and is_inverse_pair(work[stack[-1]], work[node]):
+                    dead[stack.pop()] = True
+                    dead[node] = True
                 else:
                     stack.append(node)
-        return removed
+
+    @staticmethod
+    def _merge_into_anchor(
+        work: List[Instruction],
+        flags: List[bool],
+        dead: List[bool],
+        members: List[int],
+        merged: Gate,
+    ) -> None:
+        """Kill ``members[1:]``; the anchor becomes ``merged``, or dies if it is the identity."""
+        anchor = members[0]
+        for node in members[1:]:
+            dead[node] = True
+        if merged.is_identity(tol=1e-12):
+            dead[anchor] = True
+            return
+        work[anchor] = Instruction(merged, work[anchor].qubits)
+        flags[anchor] = False
 
     def _merge_rotations(
-        self, dag: DagCircuit, sets: CommutationSets, removed: "set"
+        self,
+        work: List[Instruction],
+        flags: List[bool],
+        dead: List[bool],
+        sets: CommutationSets,
     ) -> None:
         """Merge surviving same-axis 1q rotations within each commutation run."""
         for wire in sets.wires():
             for run in sets.runs(wire):
-                families: Dict[str, List[DagNode]] = defaultdict(list)
+                families: Dict[str, List[int]] = defaultdict(list)
                 for node in run:
-                    if node in removed:
+                    if dead[node]:
                         continue
-                    instruction = node.instruction
+                    instruction = work[node]
                     if instruction.gate.num_qubits != 1 or instruction.clbits:
                         continue
                     family = _ROTATION_ANGLES.get(instruction.name)
@@ -378,28 +394,21 @@ class CommutativeCancellationPass(TransformationPass):
                         continue
                     total = 0.0
                     for node in members:
-                        _, fixed = _ROTATION_ANGLES[node.name]
-                        total += (
-                            node.instruction.gate.params[0] if fixed is None else fixed
-                        )
-                    anchor, rest = members[0], members[1:]
-                    for node in rest:
-                        dag.remove_node(node)
-                        removed.add(node)
+                        gate = work[node].gate
+                        _, fixed = _ROTATION_ANGLES[gate.name]
+                        total += gate.params[0] if fixed is None else fixed
                     merged = Gate(_ROTATION_SYNTH[axis], 1, (total,))
-                    if merged.is_identity(tol=1e-12):
-                        dag.remove_node(anchor)
-                        removed.add(anchor)
-                        continue
-                    replacement = Instruction(merged, anchor.qubits)
-                    dag.substitute_node_with_instructions(anchor, [replacement])
-                    removed.add(anchor)
+                    self._merge_into_anchor(work, flags, dead, members, merged)
 
     #: Two-qubit diagonal rotations whose angles add under composition.
     _DIAGONAL_2Q = ("cp", "rzz", "crz")
 
     def _merge_diagonal_pairs(
-        self, dag: DagCircuit, sets: CommutationSets, removed: "set"
+        self,
+        work: List[Instruction],
+        flags: List[bool],
+        dead: List[bool],
+        sets: CommutationSets,
     ) -> None:
         """Merge surviving same-kind 2q diagonal rotations within each run.
 
@@ -409,46 +418,32 @@ class CommutativeCancellationPass(TransformationPass):
         the exact qubit tuple keeps the direction-sensitive ``crz`` sound
         (``crz(a, b)`` never merges with ``crz(b, a)``); for the
         exchange-symmetric ``cp``/``rzz`` it merely misses reversed-order
-        pairs, which is conservative.
-
-        Grouping is rebuilt here rather than via :meth:`_groups` because the
-        preceding merges spliced in fresh nodes unknown to ``sets``; the
-        diagonal candidates themselves are always original nodes (merges only
-        ever synthesise 1q rotations), so their signatures are still valid.
+        pairs, which is conservative.  The 1q merges only ever rewrite slots
+        into one-qubit rotations, so every candidate here is an original
+        entry and its signature is still valid.
         """
-        groups: Dict[tuple, List[DagNode]] = defaultdict(list)
-        for node in dag:
-            if node in removed or node.name not in self._DIAGONAL_2Q:
+        groups: Dict[tuple, List[int]] = defaultdict(list)
+        for node, instruction in enumerate(work):
+            if dead[node] or instruction.name not in self._DIAGONAL_2Q:
                 continue
-            if node.instruction.clbits:
+            if instruction.clbits:
                 continue
-            groups[
-                (node.name, node.qubits, sets.signature(node))
-            ].append(node)
+            qubits = instruction.qubits
+            groups[(instruction.name, qubits, sets.signature(node, qubits))].append(node)
         for (name, _, _), members in groups.items():
             if len(members) < 2:
                 continue
             total = 0.0
             for node in members:
-                total += node.instruction.gate.params[0]
-            anchor, rest = members[0], members[1:]
-            for node in rest:
-                dag.remove_node(node)
-                removed.add(node)
-            merged = Gate(name, 2, (float(total),))
-            if merged.is_identity(tol=1e-12):
-                dag.remove_node(anchor)
-                removed.add(anchor)
-                continue
-            replacement = Instruction(merged, anchor.qubits)
-            dag.substitute_node_with_instructions(anchor, [replacement])
-            removed.add(anchor)
+                total += work[node].gate.params[0]
+            self._merge_into_anchor(
+                work, flags, dead, members, Gate(name, 2, (float(total),))
+            )
 
     # ------------------------------------------------------------------
-    def _verify(self, before: QuantumCircuit, dag: DagCircuit) -> None:
+    def _verify(self, before: QuantumCircuit, after: QuantumCircuit) -> None:
         from ..sim.equivalence import circuits_equivalent
 
-        after = dag.to_circuit()
         if not circuits_equivalent(before, after):
             raise TranspilerError(
                 f"{self.name} produced a non-equivalent circuit "

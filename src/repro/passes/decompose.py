@@ -8,15 +8,18 @@ through mapping and routing and only decomposes them afterwards
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, List, Sequence, Set, Tuple
+import struct
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ..circuits.circuit import Instruction
 from ..circuits.dag import DagCircuit
+from ..circuits.gate import Gate
 from ..circuits import library
 from ..exceptions import TranspilerError
 from .base import PropertySet, TransformationPass
-from .synthesis import u3_from_matrix
+from .synthesis import exact_bits, u3_from_matrix
 from .toffoli import toffoli_6cnot, toffoli_8cnot_line, ccz_6cnot, ccz_8cnot_line
 
 #: Default hardware basis (plus SWAP, which routing inserts and a later pass expands).
@@ -44,11 +47,11 @@ _ONE_QUBIT_RULES: Dict[str, callable] = {
 }
 
 
-def _two_qubit_rule(instruction: Instruction) -> List[Instruction]:
+def _two_qubit_rule(gate: Gate) -> List[Instruction]:
     """Rewrite a non-basis two-qubit gate in terms of {1q gates, cx, swap}."""
-    name = instruction.name
+    name = gate.name
     a, b = 0, 1
-    params = instruction.gate.params
+    params = gate.params
     if name == "cz":
         return [
             Instruction(library.h_gate(), (b,)),
@@ -104,9 +107,9 @@ def _two_qubit_rule(instruction: Instruction) -> List[Instruction]:
     raise TranspilerError(f"no decomposition rule for two-qubit gate {name!r}")
 
 
-def _three_qubit_rule(instruction: Instruction, toffoli_mode: str) -> List[Instruction]:
+def _three_qubit_rule(gate: Gate, toffoli_mode: str) -> List[Instruction]:
     """Rewrite a three-qubit gate in terms of {1q, cx, ccx}-level pieces."""
-    name = instruction.name
+    name = gate.name
     if name == "ccx":
         if toffoli_mode == "8cnot":
             return toffoli_8cnot_line(0, 1, 2)
@@ -156,47 +159,89 @@ class DecomposeToBasisPass(TransformationPass):
             self.establishes = ("decomposed",)
 
     # ------------------------------------------------------------------
-    def _expand(self, instruction: Instruction) -> List[Instruction]:
-        """One level of expansion for an out-of-basis instruction."""
-        name = instruction.name
-        num_qubits = instruction.gate.num_qubits
-        if num_qubits == 1:
-            if name in _ONE_QUBIT_RULES:
-                template = _ONE_QUBIT_RULES[name](instruction.gate.params)
-            else:
-                template = [Instruction(u3_from_matrix(instruction.gate.matrix()), (0,))]
-        elif num_qubits == 2:
-            template = _two_qubit_rule(instruction)
-        elif num_qubits == 3:
-            template = _three_qubit_rule(instruction, self.toffoli_mode)
-        else:
-            raise TranspilerError(
-                f"cannot decompose {name!r} acting on {num_qubits} qubits"
-            )
-        # Rebind the template (written on qubits 0..k-1) onto the real qubits.
-        mapping = dict(enumerate(instruction.qubits))
-        return [piece.remap(mapping) for piece in template]
-
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
         # Record the basis for downstream consumers (the lint CLI checks
         # compiled output against it).
         properties.setdefault("basis_gates", tuple(sorted(self.basis)))
-        # Expand one level at a time, in place: an out-of-basis node is
-        # substituted by its (possibly still out-of-basis) pieces and the
-        # cursor re-examines the first piece, exactly like the old worklist.
-        node = dag.head
-        guard = 0
-        max_steps = 200 * (len(dag) + 1)
-        while node is not None:
-            guard += 1
-            if guard > max_steps:
-                raise TranspilerError("decomposition did not converge")
-            instruction = node.instruction
-            name = instruction.name
-            if name in self.keep or name in self.basis or not instruction.gate.is_unitary:
-                node = node.next_node
+        keep = frozenset(self.keep)
+        basis = frozenset(self.basis)
+        out: List[Instruction] = []
+        flags: List[bool] = []
+        changed = False
+        for instruction, canonical in zip(dag.instructions, dag.canonical_1q):
+            gate = instruction.gate
+            name = gate.name
+            if name in keep or name in basis or not gate.is_unitary:
+                out.append(instruction)
+                flags.append(canonical)
                 continue
-            replacements = self._expand(instruction)
-            first, after = dag.substitute_node_with_instructions(node, replacements)
-            node = first if first is not None else after
-        return dag
+            template = _expansion(
+                name, gate.num_qubits, exact_bits(gate.params), keep, basis,
+                self.toffoli_mode,
+            )
+            qubits = instruction.qubits
+            for piece in template:
+                out.append(
+                    Instruction(piece.gate, tuple(qubits[q] for q in piece.qubits))
+                )
+            flags.extend([False] * len(template))
+            changed = True
+        return dag.derive(out, flags) if changed else dag
+
+
+def _one_level(gate: Gate, toffoli_mode: str) -> List[Instruction]:
+    """One level of expansion of an out-of-basis gate, on qubits ``0..k-1``."""
+    name = gate.name
+    if gate.num_qubits == 1:
+        if name in _ONE_QUBIT_RULES:
+            return _ONE_QUBIT_RULES[name](gate.params)
+        return [Instruction(u3_from_matrix(gate.matrix()), (0,))]
+    if gate.num_qubits == 2:
+        return _two_qubit_rule(gate)
+    if gate.num_qubits == 3:
+        return _three_qubit_rule(gate, toffoli_mode)
+    raise TranspilerError(f"cannot decompose {name!r} acting on {gate.num_qubits} qubits")
+
+
+#: Entries in the memo of full gate expansions, bounded like the one-qubit
+#: run memo (:data:`~repro.passes.synthesis.RUN_SYNTHESIS_MEMO_SIZE`): the
+#: memo lives for the whole process, and parameterised gates can make
+#: effectively unique keys.
+EXPANSION_MEMO_SIZE = 4096
+
+#: Nesting depth past which an expansion is taken to loop.
+_MAX_EXPANSION_DEPTH = 32
+
+
+@functools.lru_cache(maxsize=EXPANSION_MEMO_SIZE)
+def _expansion(
+    name: str,
+    num_qubits: int,
+    bits: bytes,
+    keep: FrozenSet[str],
+    basis: FrozenSet[str],
+    toffoli_mode: str,
+) -> Tuple[Instruction, ...]:
+    """The full expansion of one gate into ``basis`` (keeping ``keep``), on qubits ``0..k-1``.
+
+    Keyed on the gate's name and the exact IEEE-754 bits of its parameters,
+    so ``-0.0`` and ``0.0`` never share an entry.  Each piece of a one-level
+    expansion is expanded again, depth first and in order, until it is kept,
+    in the basis or non-unitary.
+    """
+    params = struct.unpack(f"<{len(bits) // 8}d", bits)
+
+    def expand(gate: Gate, qubits: Tuple[int, ...], depth: int, out: List[Instruction]):
+        if depth > _MAX_EXPANSION_DEPTH:
+            raise TranspilerError("decomposition did not converge")
+        for piece in _one_level(gate, toffoli_mode):
+            piece_qubits = tuple(qubits[q] for q in piece.qubits)
+            piece_name = piece.gate.name
+            if piece_name in keep or piece_name in basis or not piece.gate.is_unitary:
+                out.append(Instruction(piece.gate, piece_qubits))
+            else:
+                expand(piece.gate, piece_qubits, depth + 1, out)
+
+    expanded: List[Instruction] = []
+    expand(Gate(name, num_qubits, params), tuple(range(num_qubits)), 0, expanded)
+    return tuple(expanded)

@@ -1,26 +1,36 @@
-"""Circuit-level optimisation passes, expressed as local DAG rewrites.
+"""Circuit-level optimisation passes, each one forward rewrite over the table.
 
 These mirror the "light optimisation" the paper says Qiskit's default transpile
 performs (§5.2): single-qubit gate consolidation and adjacent inverse-gate
 cancellation, plus the SWAP→3-CNOT expansion that every routed circuit needs
 before gate counting, scheduling and noise estimation.
 
-All passes here mutate the :class:`~repro.circuits.dag.DagCircuit` in place —
-removing cancelled pairs, splicing merged gates before their anchor — instead
-of rebuilding an instruction list per sweep, which is what lets the driver's
-:class:`~repro.passes.base.FixedPoint` combinator iterate them to convergence
-cheaply.
+Every pass reads its input :class:`~repro.circuits.dag.DagCircuit` once, in
+order, and appends its output table as it goes, carrying the
+``canonical_1q`` flag of each entry it passes through.  A pass that rewrote
+nothing returns its input table, which is how the
+:class:`~repro.passes.base.FixedPoint` loops see convergence.
+:class:`CleanupLoop` adds the argument that lets the level 1-2 clean-up stop
+after the first sweep that dropped no identity.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import functools
+from typing import Dict, List, Tuple
 
 from ..circuits.circuit import Instruction
-from ..circuits.dag import DagCircuit, DagNode
+from ..circuits.dag import DagCircuit
 from ..circuits import library
-from .base import PropertySet, TransformationPass
+from .base import FixedPoint, PropertySet, TransformationPass
 from .synthesis import synthesise_run
+
+
+@functools.lru_cache(maxsize=4096)
+def _swap_cnots(a: int, b: int) -> Tuple[Instruction, ...]:
+    """The three CNOTs of ``swap(a, b)``; instructions are immutable, so shared."""
+    forward = Instruction(library.cx_gate(), (a, b))
+    return (forward, Instruction(library.cx_gate(), (b, a)), forward)
 
 
 class DecomposeSwapsPass(TransformationPass):
@@ -29,21 +39,30 @@ class DecomposeSwapsPass(TransformationPass):
     establishes = ("swaps_expanded",)
 
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
-        node = dag.head
-        while node is not None:
-            if node.name != "swap":
-                node = node.next_node
-                continue
-            a, b = node.qubits
-            _, node = dag.substitute_node_with_instructions(
-                node,
-                [
-                    Instruction(library.cx_gate(), (a, b)),
-                    Instruction(library.cx_gate(), (b, a)),
-                    Instruction(library.cx_gate(), (a, b)),
-                ],
-            )
-        return dag
+        out: List[Instruction] = []
+        flags: List[bool] = []
+        for instruction, canonical in zip(dag.instructions, dag.canonical_1q):
+            if instruction.name == "swap":
+                out.extend(_swap_cnots(*instruction.qubits))
+                flags.extend((False, False, False))
+            else:
+                out.append(instruction)
+                flags.append(canonical)
+        return dag if len(out) == len(dag) else dag.derive(out, flags)
+
+
+def _drop(
+    dag: DagCircuit, keep_entry
+) -> Tuple[DagCircuit, int]:
+    """``dag`` without the entries ``keep_entry`` rejects, and how many went."""
+    out: List[Instruction] = []
+    flags: List[bool] = []
+    for instruction, canonical in zip(dag.instructions, dag.canonical_1q):
+        if keep_entry(instruction):
+            out.append(instruction)
+            flags.append(canonical)
+    dropped = len(dag) - len(out)
+    return (dag.derive(out, flags) if dropped else dag), dropped
 
 
 class RemoveBarriersPass(TransformationPass):
@@ -52,13 +71,7 @@ class RemoveBarriersPass(TransformationPass):
     checks = ("gate_count_nonincreasing",)
 
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
-        node = dag.head
-        while node is not None:
-            nxt = node.next_node
-            if node.name == "barrier":
-                dag.remove_node(node)
-            node = nxt
-        return dag
+        return _drop(dag, lambda instruction: instruction.name != "barrier")[0]
 
 
 def is_inverse_pair(first: Instruction, second: Instruction) -> bool:
@@ -86,43 +99,49 @@ class CancelAdjacentInversesPass(TransformationPass):
     start of the next gate); removing them is the cheapest of Qiskit's standard
     clean-ups and keeps the baseline comparison fair.
 
-    A gate cancels when its immediate predecessor *on every one of its wires*
-    is one single gate applied to the same qubits in the same order whose gate
-    object is the inverse.  Because removing a pair relinks the wire chains,
-    cancellations enabled by earlier cancellations (e.g. ``[X, CX, CX, X]``)
-    are found in the same sweep; ``max_iterations`` extra sweeps remain as a
-    safety net and for convergence under the fixed-point combinator.
+    A gate cancels when the last live output entry *on every one of its
+    wires* is one single gate applied to the same qubits in the same order
+    whose gate object is the inverse.  The pass keeps, per wire, the stack
+    of its live output entries; a cancellation retracts the partner entry,
+    popping it off its wires' stacks so each wire's last live entry is again
+    the partner's own predecessor.  Cancellations enabled by earlier ones
+    (e.g. ``[X, CX, CX, X]``) are therefore found in the same sweep, and one
+    sweep is a fixed point: a surviving entry's predecessor can only be
+    retracted together with a later gate on the same qubits, which would
+    have the survivor, not the predecessor, as its neighbour.
     """
 
     checks = ("gate_count_nonincreasing",)
 
-    def __init__(self, max_iterations: int = 10) -> None:
-        self.max_iterations = max_iterations
-
-    def _sweep(self, dag: DagCircuit) -> bool:
-        changed = False
-        node = dag.head
-        while node is not None:
-            nxt = node.next_node
-            instruction = node.instruction
-            qubits = instruction.qubits
-            if instruction.gate.is_unitary and qubits:
-                previous: Optional[DagNode] = node.prev_on(qubits[0])
-                if previous is not None and all(
-                    node.prev_on(q) is previous for q in qubits
-                ):
-                    if is_inverse_pair(previous.instruction, instruction):
-                        dag.remove_node(previous)
-                        dag.remove_node(node)
-                        changed = True
-            node = nxt
-        return changed
-
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
-        for _ in range(self.max_iterations):
-            if not self._sweep(dag):
-                break
-        return dag
+        out: list = []  # entries, None once retracted
+        flags: List[bool] = []
+        # Per qubit, the output indices of its live entries (-1: wire start).
+        live: List[List[int]] = [[-1] for _ in range(dag.num_qubits)]
+        cancelled = False
+        for instruction, canonical in zip(dag.instructions, dag.canonical_1q):
+            qubits = instruction.qubits
+            if qubits:
+                partner = live[qubits[0]][-1]
+                if (
+                    partner >= 0
+                    and all(live[q][-1] == partner for q in qubits[1:])
+                    and is_inverse_pair(out[partner], instruction)
+                ):
+                    out[partner] = None
+                    for qubit in qubits:
+                        live[qubit].pop()
+                    cancelled = True
+                    continue
+                index = len(out)
+                for qubit in qubits:
+                    live[qubit].append(index)
+            out.append(instruction)
+            flags.append(canonical)
+        if not cancelled:
+            return dag
+        keep = [i for i, instruction in enumerate(out) if instruction is not None]
+        return dag.derive([out[i] for i in keep], [flags[i] for i in keep])
 
 
 class Consolidate1qRunsPass(TransformationPass):
@@ -130,18 +149,17 @@ class Consolidate1qRunsPass(TransformationPass):
 
     This is Qiskit's "single qubit gate consolidation" (§5.2).  Runs that
     multiply to the identity are dropped entirely.  The merged ``u3`` is
-    spliced immediately before the instruction that ended the run (or appended
-    at the end of the DAG), exactly where the list-based pass used to emit it.
+    emitted immediately before the instruction that ended the run (or at the
+    end of the table, in qubit order).
 
     ZYZ synthesis is not byte-idempotent (re-deriving the angles of a ``u3``
     from its own matrix can wobble in the last float bit or wrap a phase), so
-    nodes this pass emits are tagged ``canonical_1q``; a later sweep that finds
-    a run consisting of one already-canonical gate leaves it untouched and
-    reports no modification.  That makes the pass a genuine fixed point for the
-    :class:`~repro.passes.base.FixedPoint` combinator while keeping its first
-    application bit-identical to the historical behaviour.
+    entries this pass emits are flagged ``canonical_1q``; a later sweep that
+    finds a run consisting of one already-canonical gate leaves it in place
+    and reports no change.  That makes the pass a genuine fixed point while
+    keeping its first application bit-identical to the historical behaviour.
 
-    The pass only collects each wire's run of nodes; what a run becomes is
+    The pass only collects each wire's run of entries; what a run becomes is
     answered at flush by :func:`~repro.passes.synthesis.synthesise_run`,
     which composes with numpy ``@`` on purpose and memoises the answer on the
     exact bits of the run's gates.  Scalar complex products round differently
@@ -149,64 +167,106 @@ class Consolidate1qRunsPass(TransformationPass):
     difference into the emitted ``u3`` gates: 43 of the 88 Figure 9/10
     compiles then miss their frozen sha256.  A sweep meets only a few dozen
     distinct runs, so nearly every flush is a memo hit.
+
+    After each run, :attr:`identity_runs_dropped` counts the runs that
+    multiplied to the identity — the only rewrite here that can make two
+    other gates wire-adjacent.
     """
 
     checks = ("gate_count_nonincreasing",)
 
+    def __init__(self) -> None:
+        self.identity_runs_dropped = 0
+
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
-        # Per-qubit pending run: the nodes collected so far, in program order.
-        pending: Dict[int, List[DagNode]] = {}
+        out: list = []  # entries, None once merged away
+        flags: List[bool] = []
+        # Per-qubit pending run: the output slots of its gates, in order.
+        pending: Dict[int, List[int]] = {}
+        changed = False
+        dropped = 0
 
-        def flush(qubit: int, anchor: Optional[DagNode]) -> None:
-            nodes = pending.pop(qubit)
-            if len(nodes) == 1 and nodes[0].canonical_1q:
+        def flush(qubit: int, slots: List[int]) -> None:
+            nonlocal changed, dropped
+            if len(slots) == 1 and flags[slots[0]]:
                 return  # already in canonical form; rewriting would only churn bytes
-            merged = synthesise_run([node.instruction.gate for node in nodes])
-            for stale in nodes:
-                dag.remove_node(stale)
+            merged = synthesise_run([out[slot].gate for slot in slots])
+            for slot in slots:
+                out[slot] = None
+            changed = True
             if merged is None:
+                dropped += 1
                 return
-            instruction = Instruction(merged, (qubit,))
-            if anchor is None:
-                new = dag.append_instruction(instruction)
-            else:
-                new = dag.insert_before(anchor, instruction)
-            new.canonical_1q = True
+            out.append(Instruction(merged, (qubit,)))
+            flags.append(True)
 
-        node = dag.head
-        while node is not None:
-            nxt = node.next_node
-            instruction = node.instruction
+        for instruction, canonical in zip(dag.instructions, dag.canonical_1q):
             qubits = instruction.qubits
             if len(qubits) == 1 and instruction.gate.is_unitary:
-                qubit = qubits[0]
-                nodes = pending.get(qubit)
-                if nodes is None:
-                    pending[qubit] = [node]
+                slots = pending.get(qubits[0])
+                if slots is None:
+                    pending[qubits[0]] = [len(out)]
                 else:
-                    nodes.append(node)
-                node = nxt
-                continue
-            for qubit in qubits:
-                if qubit in pending:
-                    flush(qubit, node)
-            node = nxt
+                    slots.append(len(out))
+            elif pending:
+                for qubit in qubits:
+                    if qubit in pending:
+                        flush(qubit, pending.pop(qubit))
+            out.append(instruction)
+            flags.append(canonical)
         for qubit in sorted(pending):
-            flush(qubit, None)
-        return dag
+            flush(qubit, pending[qubit])
+        self.identity_runs_dropped = dropped
+        if not changed:
+            return dag
+        keep = [i for i, instruction in enumerate(out) if instruction is not None]
+        return dag.derive([out[i] for i in keep], [flags[i] for i in keep])
 
 
 class RemoveIdentitiesPass(TransformationPass):
-    """Remove explicit identity gates and zero-angle rotations."""
+    """Remove explicit identity gates and zero-angle rotations.
+
+    After each run, :attr:`removed` counts the gates it dropped.
+    """
 
     checks = ("gate_count_nonincreasing",)
 
+    def __init__(self) -> None:
+        self.removed = 0
+
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
-        node = dag.head
-        while node is not None:
-            nxt = node.next_node
-            gate = node.instruction.gate
-            if gate.is_unitary and gate.num_qubits == 1 and gate.is_identity():
-                dag.remove_node(node)
-            node = nxt
+        dag, self.removed = _drop(dag, _is_not_identity)
         return dag
+
+
+def _is_not_identity(instruction: Instruction) -> bool:
+    gate = instruction.gate
+    return not (gate.num_qubits == 1 and gate.is_unitary and gate.is_identity())
+
+
+class CleanupLoop(FixedPoint):
+    """The level 1-2 clean-up: cancel, consolidate, remove identities, to convergence.
+
+    Converges in O(changes): another sweep runs only when the last one
+    dropped an identity run in consolidation or removed a gate in
+    :class:`RemoveIdentitiesPass`.  Those are the only rewrites that can make
+    two gates wire-adjacent that were not before.  Every other rewrite of a
+    sweep leaves nothing for the next one:
+
+    * one cancellation sweep is its own fixed point (see
+      :class:`CancelAdjacentInversesPass`);
+    * consolidation puts one ``u3`` where a run was, between the same two
+      neighbours on its wire, so it opens no new inverse pair; and the
+      ``u3`` gates it emits are flagged canonical, so a second consolidation
+      leaves them alone.
+    """
+
+    def __init__(self) -> None:
+        self._consolidate = Consolidate1qRunsPass()
+        self._identities = RemoveIdentitiesPass()
+        super().__init__(
+            [CancelAdjacentInversesPass(), self._consolidate, self._identities]
+        )
+
+    def converged(self, before: DagCircuit, after: DagCircuit) -> bool:
+        return not (self._consolidate.identity_runs_dropped or self._identities.removed)

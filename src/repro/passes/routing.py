@@ -20,6 +20,7 @@ enumeration lives in ``benchmarks/_legacy_routing.py`` for comparison).
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import List, Mapping, Optional, Tuple
 
@@ -32,6 +33,12 @@ from .base import PropertySet, TransformationPass
 from .layout import Layout
 
 Edge = Tuple[int, int]
+
+
+@functools.lru_cache(maxsize=4096)
+def _swap(a: int, b: int) -> Instruction:
+    """``swap(a, b)``; instructions are immutable, so one object serves every use."""
+    return Instruction(library.swap_gate(), (a, b))
 
 
 class GreedySwapRouter(TransformationPass):
@@ -95,17 +102,17 @@ class GreedySwapRouter(TransformationPass):
         )
 
     def _emit_swap(
-        self, out: DagCircuit, layout: Layout, physical_a: int, physical_b: int
+        self, out: List[Instruction], layout: Layout, physical_a: int, physical_b: int
     ) -> None:
         if not self.coupling_map.are_adjacent(physical_a, physical_b):
             raise RoutingError(
                 f"internal error: SWAP on non-adjacent qubits {physical_a}, {physical_b}"
             )
-        out.append(library.swap_gate(), (physical_a, physical_b))
+        out.append(_swap(physical_a, physical_b))
         layout.swap_physical(physical_a, physical_b)
 
     def _route_pair(
-        self, out: DagCircuit, layout: Layout, logical_a: int, logical_b: int
+        self, out: List[Instruction], layout: Layout, logical_a: int, logical_b: int
     ) -> int:
         """Insert SWAPs until the two logical qubits sit on coupled wires."""
         swaps = 0
@@ -140,23 +147,23 @@ class GreedySwapRouter(TransformationPass):
 
     # ------------------------------------------------------------------
     def _route_instruction(
-        self, out: DagCircuit, layout: Layout, instruction: Instruction
+        self, out: List[Instruction], layout: Layout, instruction: Instruction
     ) -> int:
         """Route one instruction; returns the number of SWAPs inserted."""
         logical_qubits = instruction.qubits
         if instruction.name == "barrier" or len(logical_qubits) == 1:
             physical = tuple(layout.physical(q) for q in logical_qubits)
-            out.append(instruction.gate, physical, instruction.clbits)
+            out.append(Instruction(instruction.gate, physical, instruction.clbits))
             return 0
         if len(logical_qubits) == 2:
             swaps = self._route_pair(out, layout, *logical_qubits)
             physical = tuple(layout.physical(q) for q in logical_qubits)
-            out.append(instruction.gate, physical, instruction.clbits)
+            out.append(Instruction(instruction.gate, physical, instruction.clbits))
             return swaps
         return self._route_multi(out, layout, instruction)
 
     def _route_multi(
-        self, out: DagCircuit, layout: Layout, instruction: Instruction
+        self, out: List[Instruction], layout: Layout, instruction: Instruction
     ) -> int:
         raise RoutingError(
             f"{type(self).__name__} cannot route the {instruction.gate.num_qubits}-qubit "
@@ -174,15 +181,15 @@ class GreedySwapRouter(TransformationPass):
         layout = layout.copy()
         properties.setdefault("initial_layout", layout.copy())
         # Routing changes the wire set (logical program wires → the device's
-        # physical wires), so it emits a fresh DAG in one O(1)-per-append sweep
-        # over the input's topological order.
-        out = DagCircuit(self.coupling_map.num_qubits, dag.name)
+        # physical wires): the output is a fresh table on the device, appended
+        # in one sweep over the input's order, every canonical flag unset.
+        out: List[Instruction] = []
         swaps = 0
-        for node in dag:
-            swaps += self._route_instruction(out, layout, node.instruction)
+        for instruction in dag.instructions:
+            swaps += self._route_instruction(out, layout, instruction)
         properties["final_layout"] = layout.copy()
         properties["swaps_inserted"] = properties.get("swaps_inserted", 0) + swaps
-        return out
+        return DagCircuit(self.coupling_map.num_qubits, out, name=dag.name)
 
 
 def _compose_final_layout(final: Layout, wire_permutation: Layout) -> Layout:
@@ -212,17 +219,13 @@ class LegalizationRouter(GreedySwapRouter):
     invalidates = ("scheduled", "swaps_expanded")
 
     def _is_legal(self, dag: DagCircuit) -> bool:
-        """Whether routing ``dag`` would copy every gate and insert no SWAP.
-
-        A frozen DAG counts as illegal: re-routing it hands later in-place
-        passes the mutable copy they need.
-        """
-        if dag.num_qubits != self.coupling_map.num_qubits or dag.frozen:
+        """Whether routing ``dag`` would copy every gate and insert no SWAP."""
+        if dag.num_qubits != self.coupling_map.num_qubits:
             return False
         are_adjacent = self.coupling_map.are_adjacent
-        for node in dag:
-            qubits = node.instruction.qubits
-            if len(qubits) < 2 or node.instruction.name == "barrier":
+        for instruction in dag.instructions:
+            qubits = instruction.qubits
+            if len(qubits) < 2 or instruction.name == "barrier":
                 continue
             if len(qubits) > 2 or not are_adjacent(*qubits):
                 return False
@@ -232,7 +235,7 @@ class LegalizationRouter(GreedySwapRouter):
         if not self._is_legal(dag):
             return self._reroute(dag, properties)
         # Re-routing a legal circuit would copy every gate and move nothing:
-        # keep the DAG and record what the rebuild would have recorded.
+        # keep the table and record what the rebuild would have recorded.
         saved_final = properties.get("final_layout")
         trivial = Layout.trivial(self.coupling_map.num_qubits)
         properties["final_layout"] = (

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..circuits.circuit import Instruction, QuantumCircuit
+from ..circuits.circuit import Instruction
 from ..circuits.dag import DagCircuit
 from ..exceptions import ScheduleError
 from ..hardware.calibration import DeviceCalibration
@@ -60,11 +60,7 @@ class Schedule:
 
 def asap_schedule(circuit, calibration: DeviceCalibration) -> Schedule:
     """Compute an ASAP schedule for a hardware-basis circuit (or its DAG)."""
-    instructions = (
-        circuit.instructions
-        if isinstance(circuit, QuantumCircuit)
-        else [node.instruction for node in circuit]
-    )
+    instructions = circuit.instructions
     ready: Dict[int, float] = {}
     ready_clbit: Dict[int, float] = {}
     entries: List[ScheduledInstruction] = []

@@ -91,7 +91,7 @@ _IDENTITY_2X2.setflags(write=False)
 _PARAM_LAYOUTS = tuple(struct.Struct(f"<{count}d") for count in range(4))
 
 
-def _exact_bits(params: Tuple[float, ...]) -> bytes:
+def exact_bits(params: Tuple[float, ...]) -> bytes:
     """The parameters' IEEE-754 bits: unlike ``==``, tells ``-0.0`` from ``0.0``."""
     count = len(params)
     layout = _PARAM_LAYOUTS[count] if count < 4 else struct.Struct(f"<{count}d")
@@ -116,7 +116,7 @@ def synthesise_run(gates: Sequence[Gate]) -> Optional[Gate]:
     key = []
     for gate in gates:
         params = gate.params
-        key.append((gate.name, _exact_bits(params)) if params else gate.name)
+        key.append((gate.name, exact_bits(params)) if params else gate.name)
     return _synthesise_exact(tuple(key))
 
 

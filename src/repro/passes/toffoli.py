@@ -29,18 +29,23 @@ from .base import PropertySet, TransformationPass
 
 
 def _substitute_sweep(dag: DagCircuit, decompose) -> DagCircuit:
-    """Replace each node by ``decompose(instruction)`` in one in-place sweep.
+    """Replace each CCX/CCZ by ``decompose(instruction)``, emitting the pieces in place.
 
     Replacements are not re-examined (the decompositions emit final gates).
     """
-    node = dag.head
-    while node is not None:
-        replacements = decompose(node.instruction)
-        if len(replacements) == 1 and replacements[0] is node.instruction:
-            node = node.next_node
+    out: List[Instruction] = []
+    flags: List[bool] = []
+    changed = False
+    for instruction, canonical in zip(dag.instructions, dag.canonical_1q):
+        if instruction.name not in ("ccx", "ccz"):
+            out.append(instruction)
+            flags.append(canonical)
             continue
-        _, node = dag.substitute_node_with_instructions(node, replacements)
-    return dag
+        pieces = decompose(instruction)
+        out.extend(pieces)
+        flags.extend([False] * len(pieces))
+        changed = True
+    return dag.derive(out, flags) if changed else dag
 
 
 def _inst(gate, qubits: Tuple[int, ...]) -> Instruction:
@@ -166,11 +171,9 @@ class ToffoliDecomposePass(TransformationPass):
             if self.mode == "6cnot":
                 return toffoli_6cnot(*qubits)
             return toffoli_8cnot_line(*qubits)
-        if instruction.name == "ccz":
-            if self.mode == "6cnot":
-                return ccz_6cnot(*qubits)
-            return ccz_8cnot_line(qubits[0], qubits[1], qubits[2])
-        return [instruction]
+        if self.mode == "6cnot":
+            return ccz_6cnot(*qubits)
+        return ccz_8cnot_line(qubits[0], qubits[1], qubits[2])
 
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
         return _substitute_sweep(dag, self._decompose)
@@ -194,8 +197,6 @@ class MappingAwareToffoliDecomposePass(TransformationPass):
         self.coupling_map = coupling_map
 
     def _decompose(self, instruction: Instruction) -> List[Instruction]:
-        if instruction.name not in ("ccx", "ccz"):
-            return [instruction]
         a, b, c = instruction.qubits
         if self.coupling_map.has_triangle(a, b, c):
             if instruction.name == "ccx":

@@ -22,10 +22,9 @@ decomposition pass.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..circuits.circuit import Instruction
-from ..circuits.dag import DagCircuit
 from ..exceptions import RoutingError
 from ..hardware.topology import CouplingMap
 from .layout import Layout
@@ -73,7 +72,7 @@ class TriosRouter(GreedySwapRouter):
 
     # ------------------------------------------------------------------
     def _route_multi(
-        self, out: DagCircuit, layout: Layout, instruction: Instruction
+        self, out: List[Instruction], layout: Layout, instruction: Instruction
     ) -> int:
         if instruction.gate.num_qubits != 3:
             raise RoutingError(
@@ -86,12 +85,12 @@ class TriosRouter(GreedySwapRouter):
             raise RoutingError(
                 f"internal error: trio {physical} still disconnected after routing"
             )
-        out.append(instruction.gate, physical, instruction.clbits)
+        out.append(Instruction(instruction.gate, physical, instruction.clbits))
         return swaps
 
     # ------------------------------------------------------------------
     def _gather_trio(
-        self, out: DagCircuit, layout: Layout, logical_qubits: Sequence[int]
+        self, out: List[Instruction], layout: Layout, logical_qubits: Sequence[int]
     ) -> int:
         """Insert SWAPs until the trio's physical qubits form a connected group."""
         logical_qubits = list(logical_qubits)
@@ -133,7 +132,7 @@ class TriosRouter(GreedySwapRouter):
 
     def _walk_until_adjacent(
         self,
-        out: DagCircuit,
+        out: List[Instruction],
         layout: Layout,
         mover: int,
         destination: int,
@@ -159,7 +158,7 @@ class TriosRouter(GreedySwapRouter):
 
     def _walk_until_connected(
         self,
-        out: DagCircuit,
+        out: List[Instruction],
         layout: Layout,
         mover: int,
         destination: int,

@@ -2,9 +2,9 @@
 
 Three families of tests:
 
-* **Sabotage**: take a *correct* compiled circuit, corrupt its DAG in a
-  specific way (illegal edge, reversed direction, broken wire chain, dropped
-  measurement, ...) and assert the linter reports exactly the documented
+* **Sabotage**: take a *correct* compiled circuit, corrupt its table in a
+  specific way (illegal edge, reversed direction, backwards wire link,
+  dropped measurement, ...) and assert the linter reports exactly the documented
   ``QLxxx`` code for that corruption.
 * **Contracts**: the pass-contract validator must attribute the first broken
   pipeline invariant to the offending pass, for all violation kinds
@@ -16,6 +16,7 @@ Three families of tests:
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -57,20 +58,35 @@ from repro.passes import (
 
 
 def compiled_dag(method: str = "trios", seed: int = 11) -> DagCircuit:
-    """A freshly routed, legal DAG to corrupt (one per test: mutations stick)."""
+    """A freshly routed, legal table to corrupt (one per test: corruptions stick)."""
     result = transpile(
         get_benchmark("cnx_inplace-4"), johannesburg(), method=method, seed=seed
     )
     return DagCircuit.from_circuit(result.circuit)
 
 
+def corrupt_qubits(dag: DagCircuit, arity: int, qubits) -> None:
+    """Swap the first ``arity``-qubit entry for a copy on ``qubits``.
+
+    Instructions are shared between tables (and memoised by the passes), so
+    the corruption goes into a private copy, never into the shared object.
+    """
+    for node, instruction in enumerate(dag.instructions):
+        if len(instruction.qubits) == arity:
+            bad = copy.copy(instruction)
+            object.__setattr__(bad, "qubits", qubits(instruction))
+            dag.instructions[node] = bad
+            return
+    raise AssertionError(f"no {arity}-qubit entry to corrupt")
+
+
 def node_with_wire_successor(dag: DagCircuit):
-    """Some (node, wire, successor) triple with a live wire-chain link."""
-    for node in dag:
-        for wire, nxt in node._wnext.items():
+    """Some (node, wire, successor) triple with a wire link."""
+    for node, following in enumerate(dag._wire_links().next):
+        for wire, nxt in following.items():
             if nxt is not None:
                 return node, wire, nxt
-    raise AssertionError("compiled DAG has no wire chains at all")
+    raise AssertionError("compiled table has no wire links at all")
 
 
 def non_adjacent_pair(coupling_map):
@@ -89,57 +105,25 @@ class TestStructuralSabotage:
         report = structural_linter().lint(compiled_dag())
         assert not report.diagnostics
 
-    def test_broken_wire_chain_is_ql001(self):
-        dag = compiled_dag()
-        node, wire, nxt = node_with_wire_successor(dag)
-        nxt._wprev[wire] = None  # successor no longer links back
-        report = structural_linter().lint(dag)
-        assert "QL001" in report.codes()
-        assert report.has_errors
-
-    def test_severed_wire_tail_is_ql001(self):
-        dag = compiled_dag()
-        node, wire, _ = node_with_wire_successor(dag)
-        node._wnext[wire] = None  # chain ends early, recorded back disagrees
-        report = structural_linter().lint(dag)
-        assert "QL001" in report.codes()
-
-    def test_removed_flag_on_reachable_node_is_ql002(self):
-        dag = compiled_dag()
-        dag.head._in_dag = False
-        report = structural_linter().lint(dag)
-        assert report.by_code("QL002"), report.to_table()
-        assert "marked as removed" in report.by_code("QL002")[0].message
-
     def test_duplicate_qubit_args_is_ql003(self):
         dag = compiled_dag()
-        for node in dag:
-            if len(node.qubits) == 2:
-                qubit = node.qubits[0]
-                object.__setattr__(node.instruction, "qubits", (qubit, qubit))
-                break
+        corrupt_qubits(dag, 2, lambda inst: (inst.qubits[0], inst.qubits[0]))
         report = structural_linter().lint(dag)
         assert "QL003" in report.codes()
         assert report.has_errors
 
     def test_out_of_register_qubit_is_ql004(self):
         dag = compiled_dag()
-        for node in dag:
-            if len(node.qubits) == 1:
-                object.__setattr__(
-                    node.instruction, "qubits", (dag.num_qubits + 3,)
-                )
-                break
+        corrupt_qubits(dag, 1, lambda inst: (dag.num_qubits + 3,))
         report = structural_linter().lint(dag)
         assert "QL004" in report.codes()
 
     def test_backwards_wire_link_is_ql005(self):
         dag = compiled_dag()
         node, wire, nxt = node_with_wire_successor(dag)
-        # A symmetric but backwards link: the wire chain now orders the
-        # successor before its predecessor while the linear order disagrees.
-        nxt._wnext[wire] = node
-        node._wprev[wire] = nxt
+        # A corrupted link table: the wire now orders the successor before
+        # its predecessor while the linear order disagrees.
+        dag._wire_links().next[nxt][wire] = node
         report = structural_linter().lint(dag)
         assert "QL005" in report.codes()
 
@@ -157,7 +141,9 @@ class TestHardwareLegalitySabotage:
         device = johannesburg()
         dag = compiled_dag()
         a, b = non_adjacent_pair(device)
-        dag.append_instruction(Instruction(Gate("cx", 2), (a, b)))
+        dag = DagCircuit(
+            dag.num_qubits, dag.instructions + [Instruction(Gate("cx", 2), (a, b))]
+        )
         report = CircuitLinter(target=device).lint(dag)
         assert report.by_code("QL101"), report.to_table()
         finding = report.by_code("QL101")[0]
@@ -261,11 +247,13 @@ class TestResourceRules:
     def test_dropped_measurement_is_ql202_naming_the_qubit(self):
         circuit = QuantumCircuit(2)
         circuit.h(0).cx(0, 1).measure_all()
-        dag = DagCircuit.from_circuit(circuit)
-        for node in dag:
-            if node.name == "measure" and node.qubits == (1,):
-                dag.remove_node(node)
-                break
+        dag = DagCircuit(
+            circuit.num_qubits,
+            [
+                inst for inst in circuit.instructions
+                if not (inst.name == "measure" and inst.qubits == (1,))
+            ],
+        )
         findings = CircuitLinter().lint(dag).by_code("QL202")
         assert len(findings) == 1
         assert findings[0].qubits == (1,)
@@ -394,24 +382,27 @@ class _GrowingPass(TransformationPass):
     checks = ("gate_count_nonincreasing",)
 
     def run_dag(self, dag, properties):
-        dag.append_instruction(Instruction(Gate("x", 1), (0,)))
-        return dag
+        return DagCircuit(
+            dag.num_qubits, dag.instructions + [Instruction(Gate("x", 1), (0,))]
+        )
 
 
 class _AppendIllegalCx(TransformationPass):
     """Silently un-routes the circuit after the router established 'routed'."""
 
     def run_dag(self, dag, properties):
-        dag.append_instruction(Instruction(Gate("cx", 2), (0, 4)))
-        return dag
+        return DagCircuit(
+            dag.num_qubits, dag.instructions + [Instruction(Gate("cx", 2), (0, 4))]
+        )
 
 
-class _CorruptLinkage(TransformationPass):
-    """Marks a reachable node as removed without unlinking it."""
+class _CorruptRegister(TransformationPass):
+    """Moves an entry outside the register without going through validation."""
 
     def run_dag(self, dag, properties):
-        dag.head._in_dag = False
-        return dag
+        out = DagCircuit(dag.num_qubits, dag.instructions)
+        corrupt_qubits(out, 1, lambda inst: (dag.num_qubits,))
+        return out
 
 
 class TestPassContracts:
@@ -489,18 +480,18 @@ class TestPassContracts:
         circuit = QuantumCircuit(2)
         circuit.h(0).cx(0, 1)
         properties = PropertySet()
-        manager = PassManager([_CorruptLinkage()], validate="full")
+        manager = PassManager([_CorruptRegister()], validate="full")
         with pytest.raises(ContractViolationError, match="corrupted the IR"):
             manager.run(circuit, properties)
         record = properties["contract_violation"]
         assert record["kind"] == "structure"
-        assert record["invariant"] == "QL002"
+        assert record["invariant"] == "QL004"
 
     def test_contracts_mode_does_not_recheck_the_dag(self):
         # The cheaper mode trusts declarations; only "full" catches this.
         circuit = QuantumCircuit(2)
         circuit.h(0).cx(0, 1)
-        PassManager([_CorruptLinkage()], validate="contracts").run(circuit)
+        PassManager([_CorruptRegister()], validate="contracts").run(circuit)
 
     def test_off_mode_runs_no_validation(self):
         device = fully_connected(6)

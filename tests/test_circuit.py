@@ -189,17 +189,17 @@ class TestDagQueries:
     def test_front_layer_and_successors(self):
         circuit = QuantumCircuit(2)
         circuit.h(0).cx(0, 1).x(1)
-        dag = DagCircuit(circuit)
+        dag = DagCircuit.from_circuit(circuit)
         front = dag.front_layer()
-        assert [node.name for node in front] == ["h"]
-        successors = dag.successors(front[0].index)
-        assert [node.name for node in successors] == ["cx"]
-        assert [node.name for node in dag.predecessors(2)] == ["cx"]
+        assert [dag.instructions[node].name for node in front] == ["h"]
+        successors = dag.successors(front[0])
+        assert [dag.instructions[node].name for node in successors] == ["cx"]
+        assert [dag.instructions[node].name for node in dag.predecessors(2)] == ["cx"]
 
     def test_weighted_depth_uses_durations(self, hardware_calibration):
         circuit = QuantumCircuit(2)
         circuit.u3(0.1, 0.2, 0.3, 0).cx(0, 1).u3(0.1, 0.2, 0.3, 1)
-        duration = DagCircuit(circuit).weighted_depth(
+        duration = DagCircuit.from_circuit(circuit).weighted_depth(
             lambda inst: hardware_calibration.gate_duration(inst.name, inst.qubits)
         )
         expected = 0.07 + 0.559 + 0.07

@@ -9,8 +9,11 @@ circuits, checked through the `repro.sim.equivalence` harness.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
+import pickle
 import random
 
 import numpy as np
@@ -19,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import QuantumCircuit
+from repro.bench_circuits.suite import get_benchmark
 from repro.circuits.gate import Gate
 from repro.circuits import library
 from repro.exceptions import TranspilerError
@@ -28,7 +32,9 @@ from repro.passes import (
     CommutativeCancellationPass,
     Consolidate1qRunsPass,
     DecomposeSwapsPass,
+    DecomposeToBasisPass,
     FixedPoint,
+    PassManager,
     PropertySet,
     RemoveIdentitiesPass,
     clear_commutation_cache,
@@ -178,7 +184,8 @@ class TestCommutationAnalysisPass:
         # Wire 0: [t, cx, rz] all commute (diagonals against the control);
         # h commutes with neither side, so it is a singleton run, and the
         # final cx starts another run after it.
-        assert [[node.name for node in run] for run in runs0] == [
+        names = [inst.name for inst in circuit.instructions]
+        assert [[names[node] for node in run] for run in runs0] == [
             ["t", "cx", "rz"], ["h"], ["cx"]
         ]
         # Signatures: the two cx gates sit in different runs on wire 0.
@@ -206,6 +213,28 @@ class TestCommutationAnalysisPass:
         node = sets.runs(0)[0][0]
         with pytest.raises(TranspilerError):
             sets.run_index(node, 1)
+
+    def test_properties_pickle_and_keep_the_reference_runs(self):
+        # The sets hold table indices, so the property set pickles (the
+        # drivers' cache and the process pool both pickle it).  The digest
+        # pins every wire's runs as positions in the unrolled circuit.
+        _, properties = PassManager(
+            [DecomposeToBasisPass(), CommutationAnalysisPass()]
+        ).run(get_benchmark("cuccaro_adder-20"))
+        restored = pickle.loads(pickle.dumps(properties))
+        sets = restored["commutation_sets"]
+        runs = {str(wire): sets.runs(wire) for wire in sets.wires()}
+        digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
+        assert digest == (
+            "31ac9dce8ca7dd805188d1b8ca544707b58d5dff1ded2d186f506e4624076263"
+        )
+        assert restored["commutation_stats"] == {
+            "wires": 20,
+            "runs": 317,
+            "max_run": 10,
+            "mean_run": 1.4258675078864353,
+        }
+        assert restored["commutation_stats"] == sets.stats()
 
 
 class TestCommutativeCancellationPass:
@@ -293,11 +322,11 @@ class TestCommutativeCancellationPass:
 
     def test_verify_mode_catches_a_broken_rewrite(self):
         class BrokenCancellation(CommutativeCancellationPass):
-            def _merge_rotations(self, dag, sets, removed):
+            def _merge_rotations(self, work, flags, dead, sets):
                 # Sabotage: drop the first surviving CNOT outright.
-                for node in list(dag):
-                    if node.name == "cx" and node not in removed:
-                        dag.remove_node(node)
+                for node, instruction in enumerate(work):
+                    if instruction.name == "cx" and not dead[node]:
+                        dead[node] = True
                         return
 
         circuit = QuantumCircuit(2)

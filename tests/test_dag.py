@@ -1,4 +1,4 @@
-"""Unit and property tests for the mutable DagCircuit IR."""
+"""Unit and property tests for the flat DagCircuit table IR."""
 
 
 import pytest
@@ -6,9 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import DagCircuit, Instruction, QuantumCircuit, library
+from repro.circuits.dag import wires_of
 from repro.exceptions import CircuitError
-from repro.passes.toffoli import toffoli_6cnot
-from repro.sim import circuits_equivalent
+from repro.passes import CancelAdjacentInversesPass, DecomposeToBasisPass, PropertySet
 
 _SETTINGS = dict(
     max_examples=30,
@@ -78,91 +78,50 @@ class TestRoundTrip:
     def test_wire_chain_matches_instruction_order(self, circuit):
         dag = DagCircuit.from_circuit(circuit)
         for qubit in range(circuit.num_qubits):
-            chain = []
-            node = dag.wire_front(qubit)
-            while node is not None:
-                chain.append(node.instruction)
-                node = node.next_on(qubit)
+            chain = [dag.instructions[node] for node in dag.wire(qubit)]
             expected = [
                 inst for inst in circuit.instructions if qubit in inst.qubits
             ]
             assert chain == expected
 
 
-class TestMutation:
+class TestImmutability:
     def _hcx(self):
         circuit = QuantumCircuit(3)
         circuit.h(0).cx(0, 1).t(1).cx(1, 2)
         return DagCircuit.from_circuit(circuit)
 
-    def test_remove_relinks_wires(self):
-        dag = self._hcx()
-        t_node = [n for n in dag if n.name == "t"][0]
-        dag.remove_node(t_node)
-        names = [n.name for n in dag]
-        assert names == ["h", "cx", "cx"]
-        first_cx, second_cx = [n for n in dag if n.name == "cx"]
-        assert first_cx.next_on(1) is second_cx
-        assert second_cx.prev_on(1) is first_cx
-        with pytest.raises(CircuitError):
-            dag.remove_node(t_node)
-
-    def test_insert_before_and_after(self):
-        dag = self._hcx()
-        t_node = [n for n in dag if n.name == "t"][0]
-        dag.insert_before(t_node, Instruction(library.x_gate(), (1,)))
-        dag.insert_after(t_node, Instruction(library.z_gate(), (1,)))
-        assert [n.name for n in dag] == ["h", "cx", "x", "t", "z", "cx"]
-        # Wire 1 chain must interleave correctly.
-        chain = []
-        node = dag.wire_front(1)
-        while node is not None:
-            chain.append(node.name)
-            node = node.next_on(1)
-        assert chain == ["cx", "x", "t", "z", "cx"]
-
-    def test_insert_on_unshared_wire_scans_for_neighbours(self):
-        circuit = QuantumCircuit(3)
-        circuit.h(0).h(2)
+    def test_table_copies_the_source_list(self):
+        circuit = QuantumCircuit(2)
+        circuit.h(0)
         dag = DagCircuit.from_circuit(circuit)
-        anchor = [n for n in dag if n.qubits == (2,)][0]
-        node = dag.insert_before(anchor, Instruction(library.x_gate(), (0,)))
-        assert [n.name for n in dag] == ["h", "x", "h"]
-        assert node.prev_on(0).name == "h"
-        assert node.next_on(0) is None
-        assert dag.wire_back(0) is node
-
-    def test_substitute_with_circuit_preserves_semantics(self):
-        circuit = QuantumCircuit(4)
-        circuit.h(0).ccx(0, 2, 3).cx(3, 1)
-        dag = DagCircuit.from_circuit(circuit)
-        ccx_node = [n for n in dag if n.name == "ccx"][0]
-        replacement = QuantumCircuit(3)
-        replacement.extend(toffoli_6cnot(0, 1, 2))
-        dag.substitute_node_with_circuit(ccx_node, replacement)
+        circuit.x(1)
+        assert len(dag) == 1
         out = dag.to_circuit()
-        assert out.count_ops().get("ccx", 0) == 0
-        assert circuits_equivalent(circuit, out)
-        # The replacement occupies the old node's slot: h first, cx(3,1) last.
-        assert out.instructions[0].name == "h"
-        assert out.instructions[-1].qubits == (3, 1)
+        out.x(0)
+        assert len(dag) == 1
 
-    def test_substitute_rejects_foreign_wires(self):
+    def test_rewrite_leaves_its_input_untouched(self):
         dag = self._hcx()
-        t_node = [n for n in dag if n.name == "t"][0]
+        before = list(dag.instructions)
+        out = DecomposeToBasisPass().run(dag, PropertySet())
+        assert out is not dag
+        assert dag.instructions == before
+        assert [i.name for i in out] == ["u2", "cx", "u1", "cx"]
+
+    def test_unchanged_rewrite_returns_its_input(self):
+        dag = self._hcx()
+        assert CancelAdjacentInversesPass().run(dag, PropertySet()) is dag
+
+    def test_flags_parallel_the_instructions(self):
+        dag = self._hcx()
+        assert dag.canonical_1q == [False] * 4
         with pytest.raises(CircuitError):
-            dag.substitute_node_with_instructions(
-                t_node, [Instruction(library.x_gate(), (2,))]
-            )
+            DagCircuit(3, dag.instructions, canonical_1q=[False])
 
-    def test_modification_count_tracks_edits(self):
-        dag = self._hcx()
-        before = dag.modification_count
-        node = [n for n in dag if n.name == "t"][0]
-        dag.remove_node(node)
-        assert dag.modification_count == before + 1
-        dag.append(library.x_gate(), (0,))
-        assert dag.modification_count == before + 2
+    def test_constructor_rejects_qubits_outside_the_register(self):
+        with pytest.raises(CircuitError):
+            DagCircuit(2, [Instruction(library.x_gate(), (2,))])
 
 
 class TestQueries:
@@ -170,10 +129,16 @@ class TestQueries:
         circuit = QuantumCircuit(3)
         circuit.h(0).h(2).cx(0, 1).cx(1, 2)
         dag = DagCircuit.from_circuit(circuit)
-        assert sorted(n.name for n in dag.front_layer()) == ["h", "h"]
-        first_cx = [n for n in dag if n.name == "cx"][0]
-        assert [n.name for n in dag.predecessors(first_cx)] == ["h"]
-        assert [n.name for n in dag.successors(first_cx)] == ["cx"]
+        names = [inst.name for inst in dag]
+        assert sorted(names[n] for n in dag.front_layer()) == ["h", "h"]
+        first_cx = names.index("cx")
+        assert [names[n] for n in dag.predecessors(first_cx)] == ["h"]
+        assert [names[n] for n in dag.successors(first_cx)] == ["cx"]
+        assert dag.wire_front(1) == first_cx
+        assert dag.wire_back(0) == first_cx
+        assert dag.wire_front(5) is None
+        with pytest.raises(CircuitError):
+            dag.successors(len(dag))
 
     def test_interactions_match_circuit(self):
         circuit = QuantumCircuit(3)
@@ -192,25 +157,14 @@ class TestQueries:
 
     def test_wires_of_shares_qubits_and_encodes_clbits(self):
         gate = Instruction(library.cx_gate(), (2, 0))
-        assert DagCircuit._wires_of(gate) is gate.qubits
+        assert wires_of(gate) is gate.qubits
         measure = Instruction(library.measure_op(), (1,), (0,))
+        assert tuple(wires_of(measure)) == (1, -1)
         circuit = QuantumCircuit(2)
-        circuit.measure(1, 0)
-        node = DagCircuit.from_circuit(circuit).head
-        assert tuple(DagCircuit._wires_of(measure)) == tuple(node.wires)
-        assert len(DagCircuit._wires_of(measure)) == 2
-
-
-class TestFrozen:
-    def test_frozen_dag_rejects_mutation(self):
-        circuit = QuantumCircuit(2)
-        circuit.h(0)
-        dag = circuit.dag()
-        assert dag.frozen
-        with pytest.raises(CircuitError):
-            dag.append(library.x_gate(), (1,))
-        with pytest.raises(CircuitError):
-            dag.remove_node(dag.head)
+        circuit.measure(1, 0).h(1)
+        dag = DagCircuit.from_circuit(circuit)
+        assert dag.wire(-1) == [0]
+        assert dag.wire(1) == [0, 1]
 
 
 class TestCircuitMemoization:
@@ -282,9 +236,9 @@ class TestPickling:
     def test_dag_pickle_round_trip(self):
         import pickle
 
-        dag = DagCircuit.from_circuit(self._deep_circuit()).freeze()
+        dag = DagCircuit.from_circuit(self._deep_circuit())
+        dag.successors(0)  # builds the lazy link arrays
         restored = pickle.loads(pickle.dumps(dag))
-        assert restored.frozen
         assert [str(i) for i in restored.instructions] == [
             str(i) for i in dag.instructions
         ]
@@ -297,18 +251,3 @@ class TestPickling:
         clone = copy.deepcopy(circuit)
         clone.h(0)
         assert clone.depth() == circuit.depth() + 1
-
-
-class TestSubstituteAtomicity:
-    def test_failed_substitution_leaves_dag_untouched(self):
-        dag = DagCircuit(3)
-        dag.append(library.h_gate(), (0,))
-        node = dag.append(library.cx_gate(), (0, 1))
-        before = [str(i) for i in dag.instructions]
-        bad = [
-            Instruction(library.cx_gate(), (0, 1), ()),
-            Instruction(library.cx_gate(), (0, 2), ()),  # wire 2: not the node's
-        ]
-        with pytest.raises(CircuitError):
-            dag.substitute_node_with_instructions(node, bad)
-        assert [str(i) for i in dag.instructions] == before

@@ -62,8 +62,8 @@ def hardware_circuits(draw):
 
 
 def _dag_reference(circuit: QuantumCircuit, calibration) -> float:
-    """The pre-scan Δ: a weighted walk over the circuit's frozen DAG."""
-    dag = DagCircuit.from_circuit(circuit).freeze()
+    """The pre-scan Δ: a weighted walk over the circuit's table."""
+    dag = DagCircuit.from_circuit(circuit)
     return dag.weighted_depth(
         lambda inst: calibration.gate_duration(inst.name, inst.qubits)
     )

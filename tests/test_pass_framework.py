@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.circuits import DagCircuit, QuantumCircuit, library
+from repro.circuits import DagCircuit, Instruction, QuantumCircuit, library
 from repro.exceptions import TranspilerError
 from repro.passes import (
     AnalysisPass,
     CancelAdjacentInversesPass,
+    CleanupLoop,
     Consolidate1qRunsPass,
     DecomposeSwapsPass,
     FixedPoint,
@@ -27,8 +28,9 @@ class AppendOneX(TransformationPass):
     """A pathological pass that always modifies (never reaches a fixed point)."""
 
     def run_dag(self, dag, properties):
-        dag.append(library.x_gate(), (0,))
-        return dag
+        return DagCircuit(
+            dag.num_qubits, dag.instructions + [Instruction(library.x_gate(), (0,))]
+        )
 
 
 class RebuildUnchanged(TransformationPass):
@@ -60,8 +62,9 @@ class TestPassKinds:
         assert len(as_circuit) == 0
         dag = DagCircuit.from_circuit(cx_pair_circuit())
         as_dag = CancelAdjacentInversesPass().run(dag, PropertySet())
-        assert as_dag is dag
-        assert len(dag) == 0
+        assert isinstance(as_dag, DagCircuit)
+        assert len(as_dag) == 0
+        assert len(dag) == 4  # tables are never edited in place
 
     def test_pass_manager_rejects_non_pass(self):
         with pytest.raises(TranspilerError):
@@ -101,7 +104,10 @@ class TestStagedManager:
     def test_dag_in_dag_out(self):
         dag = DagCircuit.from_circuit(cx_pair_circuit())
         out, _ = PassManager([CancelAdjacentInversesPass()]).run(dag)
-        assert out is dag
+        assert isinstance(out, DagCircuit) and len(out) == 0
+        # A pipeline that rewrites nothing hands back the very same table.
+        again, _ = PassManager([CancelAdjacentInversesPass()]).run(out)
+        assert again is out
 
 
 class TestFixedPoint:
@@ -135,10 +141,8 @@ class TestFixedPoint:
         dag = DagCircuit.from_circuit(cx_pair_circuit())
         properties = PropertySet()
         loop = self._loop()
-        loop.run_dag(dag, properties)
-        mods = dag.modification_count
-        loop.run_dag(dag, properties)
-        assert dag.modification_count == mods  # idempotent at the fixed point
+        out = loop.run_dag(dag, properties)
+        assert loop.run_dag(out, properties) is out  # idempotent at the fixed point
         assert properties["fixed_point_iterations"][-1] == 1
 
     def test_divergent_loop_raises(self):
@@ -175,3 +179,45 @@ class TestFixedPoint:
         )
         out, _ = manager.run(circuit)
         assert len(out) == 0
+
+
+class TestCleanupLoop:
+    def test_cascaded_cancellation_finishes_in_one_sweep(self):
+        # h x x h: the cancellation sweep retracts x·x and then h·h itself,
+        # and drops no identity run, so no confirming sweep is needed.
+        circuit = QuantumCircuit(1)
+        circuit.h(0).x(0).x(0).h(0)
+        properties = PropertySet()
+        out = CleanupLoop().run(circuit, properties)
+        assert len(out) == 0
+        assert properties["fixed_point_iterations"] == [1]
+
+    def test_dropped_identity_run_triggers_another_sweep(self):
+        # The u1 run multiplies to the identity but holds no inverse pair:
+        # consolidation drops it, which makes the two CNOTs adjacent.
+        circuit = QuantumCircuit(2)
+        circuit.cx(0, 1).u1(0.3, 0).u1(0.4, 0).u1(-0.7, 0).cx(0, 1)
+        properties = PropertySet()
+        out = CleanupLoop().run(circuit, properties)
+        assert len(out) == 0
+        assert properties["fixed_point_iterations"] == [2]
+
+    def test_removed_identity_triggers_another_sweep(self):
+        # A canonical identity u3 survives consolidation untouched; removing
+        # it makes the two CNOTs adjacent.
+        circuit = QuantumCircuit(2)
+        circuit.cx(0, 1).u3(0.0, 0.0, 0.0, 0).cx(0, 1)
+        dag = DagCircuit(
+            2, circuit.instructions, canonical_1q=[False, True, False]
+        )
+        properties = PropertySet()
+        out = CleanupLoop().run(dag, properties)
+        assert len(out) == 0
+        assert properties["fixed_point_iterations"] == [2]
+
+    def test_canonical_flags_survive_the_loop(self):
+        circuit = QuantumCircuit(2)
+        circuit.h(0).t(0).cx(0, 1)
+        out = CleanupLoop().run(DagCircuit.from_circuit(circuit), PropertySet())
+        assert [inst.name for inst in out] == ["u3", "cx"]
+        assert out.canonical_1q == [True, False]

@@ -357,12 +357,6 @@ class TestLegalizationRouter:
         result = transpile(get_benchmark("grovers-9"), device(), method="trios", seed=11)
         assert result.properties["swaps_inserted"] > 0  # the Trios router's, not ours
 
-    def test_frozen_legal_dag_is_rebuilt_mutable(self, line_map):
-        dag = self._legal_dag().freeze()
-        routed = LegalizationRouter(line_map).run(dag, PropertySet())
-        assert routed is not dag and not routed.frozen
-        assert routed.instructions == dag.instructions
-
 
 class TestOptimizationPasses:
     def test_swap_decomposition(self):
