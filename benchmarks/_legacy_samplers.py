@@ -21,13 +21,13 @@ import numpy as np
 
 from repro.sim import NoisyResult, StatevectorSimulator, estimate_success
 from repro.sim.estimator import circuit_duration
-from repro.sim.noise import (
-    _PAULI_LABELS,
-    _PAULI_MATRICES,
-    _measured_qubits,
-    _reduce_to_active,
+from repro.sim.channels import PAULI_LABELS, PAULI_MATRICES
+from repro.sim.statevector import (
+    apply_matrix,
+    measured_qubits_of,
+    reduce_to_active_qubits,
+    zero_state,
 )
-from repro.sim.statevector import apply_matrix, zero_state
 
 
 class LegacyTrajectorySampler:
@@ -42,9 +42,9 @@ class LegacyTrajectorySampler:
 
     def run(self, circuit, shots=1024, measured_qubits=None):
         if measured_qubits is None:
-            measured_qubits = _measured_qubits(circuit) or sorted(circuit.active_qubits())
+            measured_qubits = measured_qubits_of(circuit) or sorted(circuit.active_qubits())
         measured_qubits = list(measured_qubits)
-        reduced, mapping = _reduce_to_active(circuit, measured_qubits)
+        reduced, mapping = reduce_to_active_qubits(circuit, measured_qubits)
         compact_measured = [mapping[q] for q in measured_qubits]
         gates = [inst for inst in reduced.instructions if inst.gate.is_unitary]
         duration = circuit_duration(circuit.without(["barrier"]), self.calibration)
@@ -96,10 +96,10 @@ class LegacyTrajectorySampler:
     def _apply_random_pauli(self, state, qubits, num_qubits):
         labels = ["I"] * len(qubits)
         while all(label == "I" for label in labels):
-            labels = [_PAULI_LABELS[int(self.rng.integers(0, 4))] for _ in qubits]
+            labels = [PAULI_LABELS[int(self.rng.integers(0, 4))] for _ in qubits]
         for qubit, label in zip(qubits, labels):
             if label != "I":
-                state = apply_matrix(state, _PAULI_MATRICES[label], (qubit,), num_qubits)
+                state = apply_matrix(state, PAULI_MATRICES[label], (qubit,), num_qubits)
         return state
 
 
@@ -113,9 +113,9 @@ class LegacyGateFailureSampler:
 
     def run(self, circuit, shots=1024, measured_qubits=None):
         if measured_qubits is None:
-            measured_qubits = _measured_qubits(circuit) or sorted(circuit.active_qubits())
+            measured_qubits = measured_qubits_of(circuit) or sorted(circuit.active_qubits())
         measured_qubits = list(measured_qubits)
-        reduced, mapping = _reduce_to_active(circuit, measured_qubits)
+        reduced, mapping = reduce_to_active_qubits(circuit, measured_qubits)
         compact_measured = [mapping[q] for q in measured_qubits]
         estimate = estimate_success(
             circuit.without(["measure", "barrier"]), self.calibration,

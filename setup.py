@@ -1,4 +1,4 @@
 """Setuptools shim so `pip install -e .` works without the wheel package."""
 from setuptools import setup
 
-setup(install_requires=["numpy", "networkx"])
+setup(install_requires=["numpy"])

@@ -92,6 +92,12 @@ _GATE_RE = re.compile(r"(\w+)\s*(\(([^)]*)\))?\s+([^;]+);")
 _MAX_ANGLE_CHARS = 128
 
 
+#: Most qubits a parsed program may declare, summed over its ``qreg``s.  The
+#: widest suite circuit and device have 20 qubits; the cap stops untrusted
+#: input from building (and barrier-ing) a register of millions of qubits.
+MAX_QUBITS = 1024
+
+
 def _parse_angle(text: str) -> float:
     """Evaluate a restricted arithmetic expression over pi (e.g. ``-3*pi/4``).
 
@@ -135,6 +141,8 @@ def from_qasm(text: str) -> QuantumCircuit:
         num_qubits += _index(match.group(2))
     if num_qubits == 0:
         raise CircuitError("OpenQASM program declares no qubits")
+    if num_qubits > MAX_QUBITS:
+        raise CircuitError(f"OpenQASM program declares more than {MAX_QUBITS} qubits")
     circuit = QuantumCircuit(num_qubits)
     for raw_line in text.splitlines():
         line = raw_line.split("//")[0].strip()

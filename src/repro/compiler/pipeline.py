@@ -589,7 +589,7 @@ def transpile(
 
     Returns:
         A :class:`CompilationResult` carrying the compiled circuit, the
-        target, the layouts, and per-pass telemetry (``pass_timings``).
+        target, the layouts, and per-pass telemetry (``pass_spans``).
     """
     return run_transpile(
         circuit,

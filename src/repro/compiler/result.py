@@ -3,7 +3,7 @@
 A :class:`CompilationResult` bundles the final hardware-basis circuit with the
 :class:`~repro.hardware.target.Target` it was compiled for, the layouts and
 bookkeeping produced by the pass pipeline — including per-pass telemetry
-(:attr:`CompilationResult.pass_timings`) — and exposes the metrics used
+(:attr:`CompilationResult.pass_spans`) — and exposes the metrics used
 throughout the evaluation: two-qubit gate count (§2.5), depth, scheduled
 duration and the analytic success-probability estimate (§2.6).
 """
@@ -22,7 +22,7 @@ from ..exceptions import TranspilerError
 from ..hardware.calibration import DeviceCalibration
 from ..hardware.target import Target
 from ..hardware.topology import CouplingMap
-from ..passes.base import PropertySet, pass_timings_view
+from ..passes.base import PropertySet
 from ..passes.layout import Layout
 from ..passes.scheduling import asap_schedule
 from ..sim.estimator import SuccessEstimate, estimate_success
@@ -90,20 +90,10 @@ class CompilationResult:
         One :class:`repro.obs.Span` per executed pass (fixed-point loops
         contribute one span per pass per sweep), carrying the pass name, the
         stage and instruction-count deltas as attrs, and wall-aligned
-        start/duration.  This is the single source of pass telemetry; the
-        legacy :attr:`pass_timings` dict view derives from it.
+        start/duration.  This is the single source of pass telemetry and
+        the data behind the CLI's ``--profile-passes`` table.
         """
         return list(self.properties.get("pass_spans", []))
-
-    @property
-    def pass_timings(self) -> List[Dict[str, object]]:
-        """Legacy per-pass telemetry dicts, derived from :attr:`pass_spans`.
-
-        One record per executed pass: ``{"pass", "stage", "seconds",
-        "size_before", "size_after"}``.  This is the data behind the CLI's
-        ``--profile-passes`` table.
-        """
-        return pass_timings_view(self.pass_spans)
 
     # ------------------------------------------------------------------
     # Time / noise metrics

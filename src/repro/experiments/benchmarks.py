@@ -34,7 +34,6 @@ from ..exceptions import ReproError, SimulationError
 from ..hardware.calibration import DeviceCalibration, near_term_calibration
 from ..hardware.library import PAPER_TOPOLOGIES
 from ..hardware.topology import CouplingMap
-from ..passes.base import pass_timings_view
 from ..runtime import (
     CellFailure,
     CellRunner,
@@ -134,10 +133,6 @@ class BenchmarkExperimentResult:
                     if recorded:
                         spans.extend(recorded)
         return spans
-
-    def all_pass_timings(self) -> List[Dict[str, object]]:
-        """Every pass-telemetry record across the sweep, as legacy dicts."""
-        return pass_timings_view(self.all_pass_spans())
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,10 @@ example scripts use these to show the regenerated rows/series.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..bench_circuits.suite import PAPER_TABLE1, BenchmarkStats
 from ..obs import Span
-from ..passes.base import legacy_pass_timing
 from ..runtime import CellFailure
 from .benchmarks import BenchmarkExperimentResult
 from .sensitivity import SensitivityResult
@@ -175,31 +174,24 @@ def format_failure_summary(failures: Sequence[CellFailure]) -> str:
     return _format_table(headers, rows)
 
 
-def format_pass_profile(
-    timings: Iterable[Union[Dict[str, object], Span]],
-) -> str:
+def format_pass_profile(spans: Iterable[Span]) -> str:
     """Aggregate per-pass telemetry into a time / gate-delta table.
 
-    ``timings`` is any iterable of compiler-pass telemetry — either the
-    :class:`~repro.obs.Span` records the pass manager stores in
-    ``CompilationResult.pass_spans``, or the legacy ``{"pass", "stage",
-    "seconds", "size_before", "size_after"}`` dicts derived from them
-    (``pass_timings``); records of the same pass (across compilations and
-    fixed-point sweeps) are summed.
+    ``spans`` are the compiler-pass :class:`~repro.obs.Span` records the pass
+    manager stores in ``CompilationResult.pass_spans``; records of the same
+    pass (across compilations and fixed-point sweeps) are summed.
     """
     totals: Dict[str, Dict[str, float]] = {}
     order: List[str] = []
-    for record in timings:
-        if isinstance(record, Span):
-            record = legacy_pass_timing(record)
-        key = f"{record.get('stage') or '-'}/{record['pass']}"
+    for span in spans:
+        key = f"{span.attrs.get('stage') or '-'}/{span.name}"
         if key not in totals:
             totals[key] = {"calls": 0, "seconds": 0.0, "delta": 0}
             order.append(key)
         entry = totals[key]
         entry["calls"] += 1
-        entry["seconds"] += float(record["seconds"])
-        entry["delta"] += int(record["size_after"]) - int(record["size_before"])
+        entry["seconds"] += float(span.duration)
+        entry["delta"] += int(span.attrs["size_after"]) - int(span.attrs["size_before"])
     if not totals:
         return "(no pass telemetry recorded)"
     rows = []

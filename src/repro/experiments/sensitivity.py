@@ -22,7 +22,6 @@ from ..exceptions import SimulationError
 from ..hardware.calibration import DeviceCalibration, johannesburg_aug19_2020
 from ..hardware.library import johannesburg
 from ..hardware.topology import CouplingMap
-from ..passes.base import pass_timings_view
 from ..runtime import (
     CellFailure,
     CellRunner,
@@ -74,10 +73,6 @@ class SensitivityResult:
         for curve in self.curves.values():
             spans.extend(curve.pass_spans)
         return spans
-
-    def all_pass_timings(self) -> List[dict]:
-        """Every pass-telemetry record, as legacy ``pass_timings`` dicts."""
-        return pass_timings_view(self.all_pass_spans())
 
 
 def default_factors(num_points: int = 9, maximum: float = 100.0) -> List[float]:

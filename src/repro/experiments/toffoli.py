@@ -29,7 +29,6 @@ from ..exceptions import ReproError, SimulationError
 from ..hardware.calibration import DeviceCalibration, johannesburg_aug19_2020
 from ..hardware.topology import CouplingMap
 from ..hardware.library import johannesburg
-from ..passes.base import pass_timings_view
 from ..runtime import (
     CellFailure,
     CellRunner,
@@ -163,10 +162,6 @@ class ToffoliExperimentResult:
             for recorded in row.pass_spans.values():
                 spans.extend(recorded)
         return spans
-
-    def all_pass_timings(self) -> List[dict]:
-        """Every pass-telemetry record, as legacy ``pass_timings`` dicts."""
-        return pass_timings_view(self.all_pass_spans())
 
 
 def random_triplets(

@@ -20,20 +20,31 @@ path count.  That is the same uniform-over-tied-paths distribution as
 enumerating every shortest path and picking one at random (the stochastic
 baseline router's policy), but its cost is O(path length) instead of growing
 with the — combinatorially explosive on grids — number of alternatives.
+
+The map owns its graph as a plain adjacency table: each qubit's neighbours
+in the order their edges were first added.  Every search visits neighbours
+in that order, so ties between equal-length paths always break the same way.
+The deterministic :meth:`shortest_path` is a bidirectional search that
+reproduces networkx's ``bidirectional_shortest_path`` and
+``bidirectional_dijkstra`` tie for tie on a graph built from the same edge
+sequence — the compiled circuits pinned in ``tests/data`` were produced by
+those searches — without the library at run time.
 """
 
 from __future__ import annotations
 
 import random
 from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import HardwareError
 
 Edge = Tuple[int, int]
+#: Each qubit's neighbours, in the order their edges were first added.
+Adjacency = List[List[int]]
 
 
 class _PredecessorDAG:
@@ -91,14 +102,13 @@ class _PredecessorDAG:
         return path
 
 
-def _bfs_dag(graph: nx.Graph, source: int, blocked: frozenset) -> _PredecessorDAG:
+def _bfs_dag(adj: Adjacency, source: int, blocked: frozenset) -> _PredecessorDAG:
     """Unweighted shortest-path DAG via breadth-first search."""
     dist: Dict[int, float] = {source: 0}
     preds: Dict[int, List[int]] = {source: []}
     order: List[int] = [source]
     frontier = [source]
     depth = 0
-    adj = graph.adj
     while frontier:
         depth += 1
         next_frontier: List[int] = []
@@ -119,7 +129,7 @@ def _bfs_dag(graph: nx.Graph, source: int, blocked: frozenset) -> _PredecessorDA
 
 
 def _dijkstra_dag(
-    graph: nx.Graph,
+    adj: Adjacency,
     source: int,
     blocked: frozenset,
     weight: Mapping[Edge, float],
@@ -135,7 +145,6 @@ def _dijkstra_dag(
     order: List[int] = []
     seen: Dict[int, float] = {source: 0.0}
     heap: List[Tuple[float, int, int]] = [(0.0, source, source)]
-    adj = graph.adj
     while heap:
         node_dist, _, node = heappop(heap)
         if node in dist:
@@ -157,6 +166,100 @@ def _dijkstra_dag(
     return _PredecessorDAG(source, dist, preds, order)
 
 
+def _bidirectional_bfs(
+    adj: Adjacency, source: int, target: int, blocked: frozenset
+) -> Optional[List[int]]:
+    """One unweighted shortest path, or ``None`` when ``target`` is unreachable.
+
+    Grows a fringe from each end, always expanding the smaller one (the
+    forward one on a tie), and joins the halves at the first node both
+    searches have reached — networkx's ``bidirectional_shortest_path``.
+    """
+    if source == target:
+        return [source]
+    parents: Tuple[Dict[int, int], Dict[int, int]] = ({source: -1}, {target: -1})
+    fringes = [[source], [target]]
+    while fringes[0] and fringes[1]:
+        side = 0 if len(fringes[0]) <= len(fringes[1]) else 1
+        mine, other = parents[side], parents[1 - side]
+        level, fringes[side] = fringes[side], []
+        for node in level:
+            for neighbor in adj[node]:
+                if neighbor in blocked:
+                    continue
+                if neighbor not in mine:
+                    fringes[side].append(neighbor)
+                    mine[neighbor] = node
+                if neighbor in other:
+                    return _join(parents, neighbor)
+    return None
+
+
+def _bidirectional_dijkstra(
+    adj: Adjacency,
+    source: int,
+    target: int,
+    blocked: frozenset,
+    weight: Mapping[Edge, float],
+) -> Optional[List[int]]:
+    """One weighted shortest path, or ``None`` when ``target`` is unreachable.
+
+    The two searches pop alternately; heap ties break on one insertion
+    counter shared by both, and the answer is the best meeting node seen
+    when a node is settled from both sides — networkx's
+    ``bidirectional_dijkstra``.
+    """
+    if source == target:
+        return [source]
+    settled: Tuple[Dict[int, float], Dict[int, float]] = ({}, {})
+    seen: Tuple[Dict[int, float], Dict[int, float]] = ({source: 0}, {target: 0})
+    parents: Tuple[Dict[int, int], Dict[int, int]] = ({source: -1}, {target: -1})
+    ticket = count()
+    heaps: Tuple[list, list] = ([(0, next(ticket), source)], [(0, next(ticket), target)])
+    best: Optional[float] = None
+    meet = -1
+    side = 1
+    while heaps[0] and heaps[1]:
+        side = 1 - side
+        node_dist, _, node = heappop(heaps[side])
+        if node in settled[side]:
+            continue
+        settled[side][node] = node_dist
+        if node in settled[1 - side]:
+            return _join(parents, meet)
+        mine, other = seen[side], seen[1 - side]
+        for neighbor in adj[node]:
+            if neighbor in blocked or neighbor in settled[side]:
+                continue
+            edge = (node, neighbor) if node < neighbor else (neighbor, node)
+            candidate = node_dist + weight.get(edge, 1.0)
+            known = mine.get(neighbor)
+            if known is None or candidate < known:
+                mine[neighbor] = candidate
+                heappush(heaps[side], (candidate, next(ticket), neighbor))
+                parents[side][neighbor] = node
+                if neighbor in other:
+                    total = candidate + other[neighbor]
+                    if best is None or best > total:
+                        best, meet = total, neighbor
+    return None
+
+
+def _join(parents: Tuple[Dict[int, int], Dict[int, int]], meet: int) -> List[int]:
+    """The path through ``meet`` from the forward and backward parent links."""
+    path: List[int] = []
+    node = meet
+    while node >= 0:
+        path.append(node)
+        node = parents[0][node]
+    path.reverse()
+    node = parents[1][meet]
+    while node >= 0:
+        path.append(node)
+        node = parents[1][node]
+    return path
+
+
 class CouplingMap:
     """Connectivity graph of a quantum device."""
 
@@ -165,15 +268,19 @@ class CouplingMap:
             raise HardwareError("a device needs at least one qubit")
         self.num_qubits = int(num_qubits)
         self.name = name
-        self.graph = nx.Graph()
-        self.graph.add_nodes_from(range(self.num_qubits))
+        self._adj: Adjacency = [[] for _ in range(self.num_qubits)]
+        self._adjacent: Dict[int, Set[int]] = {q: set() for q in range(self.num_qubits)}
         for a, b in edges:
             a, b = int(a), int(b)
             if a == b:
                 raise HardwareError(f"self-loop edge ({a}, {b}) is not allowed")
             if not (0 <= a < num_qubits and 0 <= b < num_qubits):
                 raise HardwareError(f"edge ({a}, {b}) out of range for {num_qubits} qubits")
-            self.graph.add_edge(a, b)
+            if b not in self._adjacent[a]:
+                self._adj[a].append(b)
+                self._adj[b].append(a)
+                self._adjacent[a].add(b)
+                self._adjacent[b].add(a)
         # Lazily-built caches; the graph is immutable after construction, so
         # they stay valid for the lifetime of the map.
         self._distance_matrix: Optional[np.ndarray] = None
@@ -189,23 +296,23 @@ class CouplingMap:
     @property
     def edges(self) -> List[Edge]:
         """Sorted list of undirected edges (a < b)."""
-        return sorted((min(a, b), max(a, b)) for a, b in self.graph.edges())
+        return [(a, b) for a in range(self.num_qubits) for b in self.neighbors(a) if a < b]
 
     def degree(self, qubit: int) -> int:
         """Number of neighbours of a physical qubit."""
-        return int(self.graph.degree(qubit))
+        return len(self._adjacent[qubit])
 
     def neighbors(self, qubit: int) -> List[int]:
         """Physical qubits directly connected to ``qubit``."""
-        return sorted(self.graph.neighbors(qubit))
+        return sorted(self._adjacent[qubit])
 
     def is_connected(self) -> bool:
         """Whether the device graph is a single connected component."""
-        return nx.is_connected(self.graph)
+        return len(self._predecessor_dag(0).dist) == self.num_qubits
 
     def are_adjacent(self, a: int, b: int) -> bool:
         """Whether a two-qubit gate can run directly between ``a`` and ``b``."""
-        return self.graph.has_edge(a, b)
+        return b in self._adjacent.get(a, ())
 
     def has_triangle(self, a: int, b: int, c: int) -> bool:
         """Whether the three qubits are pairwise connected.
@@ -241,8 +348,8 @@ class CouplingMap:
         """
         if self._distance_matrix is None:
             matrix = np.full((self.num_qubits, self.num_qubits), -1, dtype=np.int32)
-            for source, lengths in nx.all_pairs_shortest_path_length(self.graph):
-                for target, length in lengths.items():
+            for source in range(self.num_qubits):
+                for target, length in self._predecessor_dag(source).dist.items():
                     matrix[source, target] = length
             matrix.setflags(write=False)
             self._distance_matrix = matrix
@@ -283,9 +390,9 @@ class CouplingMap:
             if source in blocked:
                 raise HardwareError(f"source qubit {source} is in the avoid set")
             if weight:
-                dag = _dijkstra_dag(self.graph, source, blocked, weight)
+                dag = _dijkstra_dag(self._adj, source, blocked, weight)
             else:
-                dag = _bfs_dag(self.graph, source, blocked)
+                dag = _bfs_dag(self._adj, source, blocked)
             self._dag_cache[key] = dag
         return dag
 
@@ -313,21 +420,15 @@ class CouplingMap:
         key = (a, b, self._weight_token(weight), avoid)
         cached = self._path_cache.get(key)
         if cached is None:
-            graph = self.graph
-            if avoid:
-                blocked = set(avoid)
-                graph = graph.subgraph(
-                    [n for n in graph.nodes if n not in blocked]
-                )
-            try:
+            blocked = frozenset(avoid)
+            path: Optional[List[int]] = None
+            if all(0 <= q < self.num_qubits and q not in blocked for q in (a, b)):
                 if weight is None:
-                    path = list(nx.shortest_path(graph, a, b))
+                    path = _bidirectional_bfs(self._adj, a, b, blocked)
                 else:
-                    def edge_weight(u: int, v: int, _attrs: dict) -> float:
-                        return weight.get((min(u, v), max(u, v)), 1.0)
-                    path = list(nx.shortest_path(graph, a, b, weight=edge_weight))
-            except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-                raise HardwareError(f"no path between qubits {a} and {b}") from exc
+                    path = _bidirectional_dijkstra(self._adj, a, b, blocked, weight)
+            if path is None:
+                raise HardwareError(f"no path between qubits {a} and {b}")
             cached = tuple(path)
             self._path_cache[key] = cached
         return list(cached)
@@ -392,14 +493,17 @@ class CouplingMap:
     # ------------------------------------------------------------------
     def subgraph_is_connected(self, qubits: Sequence[int]) -> bool:
         """Whether the induced subgraph on ``qubits`` is connected."""
-        sub = self.graph.subgraph(qubits)
-        return len(sub) > 0 and nx.is_connected(sub)
+        members = {q for q in qubits if 0 <= q < self.num_qubits}
+        if not members:
+            return False
+        outside = frozenset(range(self.num_qubits)) - members
+        return len(_bfs_dag(self._adj, min(members), outside).dist) == len(members)
 
     def triangles(self) -> List[Tuple[int, int, int]]:
         """All triangles (3-cliques) in the device graph."""
         found: Set[Tuple[int, int, int]] = set()
-        for a, b in self.graph.edges():
-            for c in set(self.graph.neighbors(a)) & set(self.graph.neighbors(b)):
+        for a, b in self.edges:
+            for c in self._adjacent[a] & self._adjacent[b]:
                 found.add(tuple(sorted((a, b, c))))  # type: ignore[arg-type]
         return sorted(found)
 

@@ -64,8 +64,7 @@ class TriosRouter(GreedySwapRouter):
 
     def _trio_connected(self, positions: Sequence[int]) -> bool:
         # Three distinct qubits induce a connected subgraph exactly when at
-        # least two of the three pairs are coupled; checking adjacency
-        # directly avoids building a networkx subgraph in the routing loop.
+        # least two of the three pairs are coupled.
         a, b, c = positions
         adjacent = self.coupling_map.are_adjacent
         return (adjacent(a, b) + adjacent(b, c) + adjacent(a, c)) >= 2

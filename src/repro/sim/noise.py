@@ -42,26 +42,15 @@ from .result import NoisyResult, counts_from_bit_array
 from .statevector import (
     StatevectorSimulator,
     apply_matrix,
-    measured_qubits_of,
     reduce_for_measurement,
-    reduce_to_active_qubits,
     zero_state,
 )
-
-# Backwards-compatible aliases; the canonical Paulis live in .channels.
-_PAULI_MATRICES = PAULI_MATRICES
-_PAULI_LABELS = PAULI_LABELS
 
 #: A shot's error pattern: ``(gate_index, pauli_code)`` pairs, where the code
 #: encodes one base-4 Pauli digit (0=I, 1=X, 2=Y, 3=Z) per gate qubit with the
 #: gate's first qubit in the most significant position.  Codes are never zero
 #: (an all-identity "error" is resampled away by construction).
 ErrorPattern = Tuple[Tuple[int, int], ...]
-
-
-# Backwards-compatible aliases; the canonical helpers live in .statevector.
-_reduce_to_active = reduce_to_active_qubits
-_measured_qubits = measured_qubits_of
 
 
 def _bits_from_indices(
@@ -244,8 +233,8 @@ class PauliTrajectorySampler:
         for position, qubit in enumerate(qubits):
             digit = (code >> (2 * (k - 1 - position))) & 3
             if digit:
-                label = _PAULI_LABELS[digit]
-                state = apply_matrix(state, _PAULI_MATRICES[label], (qubit,), num_qubits)
+                label = PAULI_LABELS[digit]
+                state = apply_matrix(state, PAULI_MATRICES[label], (qubit,), num_qubits)
         return state
 
     def _error_probability(self, instruction: Instruction) -> float:

@@ -1,6 +1,9 @@
 """Tests for coupling maps, the paper's topologies and device calibrations."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -155,3 +158,35 @@ class TestCalibration:
                 one_qubit_gate_error=0, two_qubit_gate_error=1.5, readout_error=0,
                 readout_time=1,
             )
+
+
+#: Imports the runtime's entry points with networkx made unimportable (or,
+#: with ``allow``, importable), compiles one Fig 9/10 cell, and fails if any
+#: networkx module was loaded.
+_NO_NETWORKX_PROBE = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["networkx"] = None  # any "import networkx" now raises
+import repro
+import repro.experiments.benchmarks
+import repro.service.service
+from repro.hardware import johannesburg
+
+result = repro.experiments.benchmarks.run_benchmark_experiment(
+    topologies={"ibmq-johannesburg": johannesburg}, benchmarks=["cnx_dirty-11"]
+)
+assert result.comparisons["ibmq-johannesburg"]["cnx_dirty-11"].trios_cnots > 0
+loaded = [name for name, module in sys.modules.items()
+          if name.split(".")[0] == "networkx" and module is not None]
+assert not loaded, loaded
+"""
+
+
+@pytest.mark.parametrize("mode", ["block", "allow"])
+def test_runtime_does_not_need_networkx(mode):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NETWORKX_PROBE, mode],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stderr

@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from repro.bench_circuits.suite import PAPER_BENCHMARKS, get_benchmark
 from repro.circuits import QuantumCircuit, from_qasm, to_qasm
 from repro.circuits.gate import Gate
+from repro.circuits.qasm import MAX_QUBITS
 from repro.circuits.library import (
     GATE_ARITY,
     GATE_NUM_PARAMS,
@@ -284,6 +286,29 @@ class TestMalformedGates:
     def test_overlong_index_is_a_circuit_error(self):
         with pytest.raises(CircuitError, match="unusable integer"):
             from_qasm(_one_qubit_program(f"h q[{'9' * 5000}];"))
+
+
+# ----------------------------------------------------------------------
+# Register size cap
+# ----------------------------------------------------------------------
+class TestQubitCap:
+    def test_billion_qubit_register_rejected_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(CircuitError, match=f"more than {MAX_QUBITS} qubits"):
+            from_qasm("OPENQASM 2.0;\nqreg q[1000000000];\nh q[0];\n")
+        assert time.perf_counter() - start < 0.1
+
+    def test_cap_counts_every_register(self):
+        # Two registers under the cap whose sum is over it; the barrier
+        # would span every declared qubit if the program were built.
+        half = MAX_QUBITS // 2 + 1
+        with pytest.raises(CircuitError, match="more than"):
+            from_qasm(f"OPENQASM 2.0;\nqreg a[{half}];\nqreg b[{half}];\nbarrier a;\n")
+
+    def test_cap_itself_parses(self):
+        circuit = from_qasm(f"OPENQASM 2.0;\nqreg q[{MAX_QUBITS}];\nbarrier q;\n")
+        assert circuit.num_qubits == MAX_QUBITS
+        assert len(circuit.instructions[0].qubits) == MAX_QUBITS
 
 
 # ----------------------------------------------------------------------

@@ -664,6 +664,9 @@ class TestServiceHTTP:
                 results["bad_option"] = client.compile(
                     qasm, "line-20", "baseline", {"toffoli_mode": "9cnot"}
                 )
+                results["too_wide"] = client.compile(
+                    "OPENQASM 2.0;\nqreg q[1000000000];\nh q[0];\n", "line-20"
+                )
                 results["stats"] = client.stats()
                 results["not_found"] = client.request("GET", "/nope")
                 results["shutdown"] = client.shutdown()
@@ -685,6 +688,8 @@ class TestServiceHTTP:
         assert hit["qasm"] == results["miss"][1]["qasm"]
         assert results["bad"][0] == 400
         assert results["bad_option"][0] == 400
+        status, body = results["too_wide"]
+        assert status == 400 and "more than 1024 qubits" in body["detail"]
         status, stats = results["stats"]
         assert status == 200
         assert stats["service"]["hits"] == 1

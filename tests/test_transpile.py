@@ -223,13 +223,13 @@ class TestTranspileApi:
                 self._program(), johannesburg_map, method="trios", toffoli_mode="8cnot"
             )
 
-    def test_pass_timings_are_exposed(self, johannesburg_map):
+    def test_pass_spans_are_exposed(self, johannesburg_map):
         result = transpile(self._program(), johannesburg_map, seed=2)
-        timings = result.pass_timings
-        assert timings, "transpile recorded no pass telemetry"
-        stages = {record["stage"] for record in timings}
+        spans = result.pass_spans
+        assert spans, "transpile recorded no pass telemetry"
+        stages = {span.attrs["stage"] for span in spans}
         assert {"decompose", "layout", "routing", "optimize"} <= stages
-        assert all(record["seconds"] >= 0 for record in timings)
+        assert all(span.duration >= 0 for span in spans)
 
 
 def random_test_circuits(count: int = 8, max_qubits: int = 6, gates: int = 12):
