@@ -186,7 +186,7 @@ def run_benchmark() -> dict:
     obs.clear()
 
     async def scenario():
-        service = CompileService(pool_jobs=2, batch_window=0.005)
+        service = CompileService(pool_jobs=2)
         await service.start()
         try:
             phases = await drive(service)

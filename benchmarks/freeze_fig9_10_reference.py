@@ -1,6 +1,6 @@
 """Regenerate the frozen compiled-circuit hashes.
 
-Writes two files:
+Writes three files:
 
 * ``tests/data/fig9_10_compiled_sha256.json`` pins a SHA-256 of every
   compiled circuit in the Figures 9-11 sweep (all Table 1 benchmarks x the
@@ -12,6 +12,10 @@ Writes two files:
   optimisation levels 0, 2 and 3, the ``greedy-depth`` flow at level 1, and
   the four Figure 6-8 Toffoli configurations on six fixed Johannesburg
   triplets (``tests/test_compiled_levels.py``).
+* ``tests/data/fig9_10_qasm_sha256.json`` pins a SHA-256 of the OpenQASM
+  text :func:`repro.circuits.qasm.to_qasm` renders for every level-1 cell,
+  so the exporter's bytes (pi fractions, ``repr`` fallbacks) are pinned
+  as well as the circuits (``tests/test_qasm.py``).
 
 Only regenerate these files when a PR *intentionally* changes compiled
 output (e.g. a new default optimisation) — and say so in the PR
@@ -30,6 +34,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench_circuits.suite import PAPER_BENCHMARKS, get_benchmark
+from repro.circuits.qasm import to_qasm
 from repro.compiler.pipeline import transpile
 from repro.experiments.toffoli import CONFIGURATIONS, compile_configuration
 from repro.hardware.library import PAPER_TOPOLOGIES, johannesburg
@@ -38,6 +43,7 @@ SEED = 11
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 OUTPUT = DATA / "fig9_10_compiled_sha256.json"
 LEVELS_OUTPUT = DATA / "compiled_levels_sha256.json"
+QASM_OUTPUT = DATA / "fig9_10_qasm_sha256.json"
 
 #: Physical Johannesburg triplets the Toffoli configurations are pinned on:
 #: two lines, one bent pair plus a far qubit, and three spread-out trios.
@@ -63,6 +69,10 @@ def canonical_bytes(circuit) -> str:
 
 def sha256(circuit) -> str:
     return hashlib.sha256(canonical_bytes(circuit).encode()).hexdigest()
+
+
+def qasm_sha256(circuit) -> str:
+    return hashlib.sha256(to_qasm(circuit).encode()).hexdigest()
 
 
 def sweep_cells():
@@ -115,15 +125,21 @@ def level_hashes():
 
 def main() -> int:
     hashes = {}
+    qasm_hashes = {}
     for label, coupling_map, name in sweep_cells():
         circuit = get_benchmark(name)
         for method in ("baseline", "trios"):
             result = transpile(circuit, coupling_map, method=method, seed=SEED)
             hashes[f"{label}|{name}|{method}"] = sha256(result.circuit)
+            qasm_hashes[f"{label}|{name}|{method}"] = qasm_sha256(result.circuit)
     OUTPUT.write_text(
         json.dumps({"seed": SEED, "hashes": hashes}, indent=1, sort_keys=True)
     )
     print(f"froze {len(hashes)} compiled-circuit hashes to {OUTPUT}")
+    QASM_OUTPUT.write_text(
+        json.dumps({"seed": SEED, "hashes": qasm_hashes}, indent=1, sort_keys=True)
+    )
+    print(f"froze {len(qasm_hashes)} rendered-QASM hashes to {QASM_OUTPUT}")
     levels = level_hashes()
     LEVELS_OUTPUT.write_text(
         json.dumps({"seed": SEED, "hashes": levels}, indent=1, sort_keys=True)

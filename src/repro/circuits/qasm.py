@@ -7,9 +7,11 @@ convenience for tests and examples, not a full OpenQASM front end).
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ..exceptions import CircuitError
 from .circuit import QuantumCircuit
@@ -29,23 +31,42 @@ _RZZ_DEFINITION = (
 )
 
 
+def _pi_fraction_texts() -> Dict[float, str]:
+    """Every exact ``num * pi / denom`` value (``|num| <= 16``) and its text.
+
+    Filled in ``(denom, num)`` order keeping the first text per value, so a
+    value that several fractions produce (``pi``, ``2*pi/2``) prints as the
+    first one, exactly as a search in that order would.
+    """
+    texts: Dict[float, str] = {}
+    for denom in (1, 2, 3, 4, 6, 8, 16):
+        for num in range(-16, 17):
+            if num == 0:
+                continue
+            sign = "-" if num < 0 else ""
+            numerator = "pi" if abs(num) == 1 else f"{abs(num)}*pi"
+            text = f"{sign}{numerator}/{denom}" if denom != 1 else f"{sign}{numerator}"
+            texts.setdefault(num * math.pi / denom, text)
+    return texts
+
+
+_PI_FRACTION_TEXTS = _pi_fraction_texts()
+
+
 def _format_param(value: float) -> str:
     """Render an angle compactly, using pi fractions when exact.
 
     Exact pi fractions (``num * pi / denom`` to the last float bit) print
     symbolically; everything else prints with :func:`repr`, whose
     shortest-round-trip guarantee makes ``parse(dump(c))`` reproduce every
-    angle bit for bit — the property the QASM round-trip tests pin.
+    angle bit for bit — the property the QASM round-trip tests pin.  The
+    fractions are one table lookup (:data:`_PI_FRACTION_TEXTS`): float
+    equality and hashing agree, so the lookup finds exactly the values an
+    ``==`` search over the fractions would.
     """
-    for denom in (1, 2, 3, 4, 6, 8, 16):
-        for num in range(-16, 17):
-            if num == 0:
-                continue
-            if value == num * math.pi / denom:
-                sign = "-" if num < 0 else ""
-                num = abs(num)
-                numerator = "pi" if num == 1 else f"{num}*pi"
-                return f"{sign}{numerator}/{denom}" if denom != 1 else f"{sign}{numerator}"
+    text = _PI_FRACTION_TEXTS.get(value)
+    if text is not None:
+        return text
     if value == 0.0:
         return "0"
     return repr(value)
@@ -98,6 +119,49 @@ _MAX_ANGLE_CHARS = 128
 MAX_QUBITS = 1024
 
 
+#: Characters an angle expression may use.
+_ANGLE_CHARS = frozenset("0123456789.+-*/ piE()e")
+
+_BINARY_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.FloorDiv: operator.floordiv,
+}
+
+_UNARY_OPERATORS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _angle_value(node: ast.AST) -> object:
+    """The value of one whitelisted expression node, evaluated bottom-up."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPERATORS:
+        return _UNARY_OPERATORS[type(node.op)](_angle_value(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPERATORS:
+        left, right = _angle_value(node.left), _angle_value(node.right)
+        return _BINARY_OPERATORS[type(node.op)](left, right)
+    raise CircuitError(f"unsupported {type(node).__name__} in angle expression")
+
+
+def _evaluate_angle(text: str) -> object:
+    """The value of ``text`` under Python's arithmetic, without ``eval``.
+
+    Python's own parser reads the text (after the leading spaces ``eval``
+    skips), so literal rules such as ``01`` and ``1e`` are eval's by
+    construction; only int and float literals, ``pi``, unary ``+ -`` and
+    binary ``+ - * / //`` are evaluated, each with Python's own operator,
+    so the result is the one ``eval`` gives, bit for bit (the differential
+    test in ``tests/test_qasm.py`` keeps ``eval`` as the oracle).  Anything
+    else raises :class:`SyntaxError`, :class:`CircuitError` or
+    ``ArithmeticError``.
+    """
+    return _angle_value(ast.parse(text.lstrip(" "), mode="eval").body)
+
+
 def _parse_angle(text: str) -> float:
     """Evaluate a restricted arithmetic expression over pi (e.g. ``-3*pi/4``).
 
@@ -106,7 +170,7 @@ def _parse_angle(text: str) -> float:
 
     Input may be untrusted (``repro serve`` parses on its event loop), so
     ``**`` and any text over :data:`_MAX_ANGLE_CHARS` are rejected before
-    ``eval``: ``9**9**8`` alone would compute for minutes.  A value that is
+    evaluation: ``9**9**8`` alone would compute for minutes.  A value that is
     not finite (``1e999``) is rejected too: no gate has a meaningful matrix
     for it.
     """
@@ -114,12 +178,11 @@ def _parse_angle(text: str) -> float:
         raise CircuitError(
             f"angle expression longer than {_MAX_ANGLE_CHARS} characters"
         )
-    allowed = set("0123456789.+-*/ piE()e")
-    if not set(text) <= allowed or "**" in text:
+    if not _ANGLE_CHARS.issuperset(text) or "**" in text:
         raise CircuitError(f"unsupported angle expression {text!r}")
     try:
-        value = float(eval(text, {"__builtins__": {}}, {"pi": math.pi}))  # noqa: S307
-    except Exception as exc:
+        value = float(_evaluate_angle(text))
+    except (SyntaxError, CircuitError, ArithmeticError) as exc:
         raise CircuitError(f"cannot evaluate angle expression {text!r}") from exc
     if not math.isfinite(value):
         raise CircuitError(f"angle expression {text!r} is not finite")

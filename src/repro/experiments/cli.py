@@ -286,11 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--pool-jobs", type=int, default=2, dest="pool_jobs",
                        help="worker processes per dispatched compile batch "
                             "(default 2; 0 = all CPUs)")
-    serve.add_argument("--batch-window", type=float, default=0.01,
-                       dest="batch_window", metavar="SECONDS",
-                       help="how long the dispatcher waits for concurrent "
-                            "requests to coalesce into one batch "
-                            "(default 0.01)")
     serve.add_argument("--max-batch", type=int, default=32, dest="max_batch",
                        help="maximum unique compiles per batch (default 32)")
     serve.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
@@ -419,7 +414,7 @@ def _run_compile(benchmark: str, pipeline: str, topology: str, seed: int,
 
 
 def _run_serve(host: str, port: int, cache_mb: int, shards: int,
-               pool_jobs: int, batch_window: float, max_batch: int,
+               pool_jobs: int, max_batch: int,
                timeout: Optional[float], retries: int) -> int:
     """The ``repro serve`` subcommand: run the compile service until shutdown."""
     import asyncio
@@ -434,7 +429,6 @@ def _run_serve(host: str, port: int, cache_mb: int, shards: int,
     service = CompileService(
         cache=cache,
         pool_jobs=pool_jobs,
-        batch_window=batch_window,
         max_batch=max_batch,
         policy=FailurePolicy(timeout=timeout, retries=retries, on_error="skip"),
     )
@@ -570,7 +564,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                      jobs=args.jobs)
     elif args.command == "serve":
         return _run_serve(args.host, args.port, args.cache_mb, args.shards,
-                          args.pool_jobs, args.batch_window, args.max_batch,
+                          args.pool_jobs, args.max_batch,
                           args.timeout, args.retries)
     elif args.command == "lint":
         return _run_lint(args.paths, args.benchmark, args.pipeline,

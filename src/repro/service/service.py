@@ -18,9 +18,14 @@ Request lifecycle::
          └─ enqueue job, wake the dispatcher, await   → respond "miss"
 
     _dispatch_loop (one task)
-      └─ sleep batch_window, drain ≤ max_batch unique jobs,
-         run them on a CellRunner pool in a thread executor,
-         resolve each future with its result / structured error.
+      └─ on wake-up, drain ≤ max_batch unique jobs, run them on a
+         CellRunner pool in a thread executor, resolve each future with its
+         result / structured error; repeat while jobs are pending.
+
+Batches form without a timer: requests that arrive in one event-loop tick
+(an ``asyncio.gather``) are all pending when the dispatcher wakes, and
+requests that arrive while a batch compiles are pending when it returns.
+A lone miss waits for nothing but its compile.
 
 Request-level telemetry goes through :mod:`repro.obs` verbatim:
 ``service.request`` spans (recorded post-hoc via ``record_span`` — the
@@ -234,8 +239,6 @@ class CompileService:
         pool_jobs: Worker processes per dispatched batch.  ``1`` compiles
             in-process (useful in tests); a single-job batch always runs
             in-process regardless (the runner's serial fast path).
-        batch_window: Seconds the dispatcher waits after a wake-up for more
-            requests to accumulate into the same batch.
         max_batch: Upper bound on unique jobs per dispatched batch.
         policy: Failure policy for dispatched compiles.  ``on_error="fail"``
             is rejected — a server must never let one poisoned request abort
@@ -248,7 +251,6 @@ class CompileService:
         self,
         cache: Optional[ShardedLRUCache] = None,
         pool_jobs: int = 2,
-        batch_window: float = 0.01,
         max_batch: int = 32,
         policy: Optional[FailurePolicy] = None,
         faults: Any = "env",
@@ -262,11 +264,8 @@ class CompileService:
             )
         if max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
-        if batch_window < 0:
-            raise ServiceError(f"batch_window must be >= 0, got {batch_window}")
         self.cache = cache if cache is not None else ShardedLRUCache(name="compile")
         self.pool_jobs = pool_jobs
-        self.batch_window = batch_window
         self.max_batch = max_batch
         self.policy = policy
         self._faults = faults
@@ -392,9 +391,6 @@ class CompileService:
             self._wake.clear()
             if self._stopping:
                 return
-            if self.batch_window > 0:
-                # Let concurrent requests pile into the same batch.
-                await asyncio.sleep(self.batch_window)
             while self._pending:
                 batch = self._pending[: self.max_batch]
                 del self._pending[: len(batch)]

@@ -10,12 +10,16 @@ library circuits.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import os
 import re
 import subprocess
 import sys
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from hypothesis import strategies as st
 from repro.bench_circuits.suite import PAPER_BENCHMARKS, get_benchmark
 from repro.circuits import QuantumCircuit, from_qasm, to_qasm
 from repro.circuits.gate import Gate
-from repro.circuits.qasm import MAX_QUBITS
+from repro.circuits.qasm import MAX_QUBITS, _format_param, _parse_angle
 from repro.circuits.library import (
     GATE_ARITY,
     GATE_NUM_PARAMS,
@@ -35,8 +39,10 @@ from repro.circuits.library import (
     rz_gate,
     u1_gate,
 )
+from repro.compiler.pipeline import transpile
 from repro.exceptions import CircuitError, ServiceRequestError
 from repro.hardware import line as line_device
+from repro.hardware.library import johannesburg
 from repro.service.jobs import CompileJob
 
 # Parameter-free library gates by arity (excluding non-unitary ops and the
@@ -231,6 +237,135 @@ class TestRenderingDetails:
         for name in (*_PLAIN_1Q, *_PLAIN_2Q, *_PLAIN_3Q, *_PARAM_1Q,
                      "u2", "u3", "cp", "crz", "rzz", "ccz"):
             assert name in GATE_ARITY, name
+
+
+# ----------------------------------------------------------------------
+# The table renderer and the eval-free parser against their old forms
+# ----------------------------------------------------------------------
+def legacy_format_param(value) -> str:
+    """The exporter's angle rendering before the pi-fraction table: a search."""
+    for denom in (1, 2, 3, 4, 6, 8, 16):
+        for num in range(-16, 17):
+            if num == 0:
+                continue
+            if value == num * math.pi / denom:
+                sign = "-" if num < 0 else ""
+                num = abs(num)
+                numerator = "pi" if num == 1 else f"{num}*pi"
+                return f"{sign}{numerator}/{denom}" if denom != 1 else f"{sign}{numerator}"
+    if value == 0.0:
+        return "0"
+    return repr(value)
+
+
+def legacy_parse_angle(text: str) -> float:
+    """The parser's angle evaluation before it stopped calling ``eval``."""
+    if len(text) > 128:
+        raise CircuitError("angle expression longer than 128 characters")
+    if not set(text) <= set("0123456789.+-*/ piE()e") or "**" in text:
+        raise CircuitError(f"unsupported angle expression {text!r}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SyntaxWarning)
+            value = float(eval(text, {"__builtins__": {}}, {"pi": math.pi}))  # noqa: S307
+    except Exception as exc:
+        raise CircuitError(f"cannot evaluate angle expression {text!r}") from exc
+    if not math.isfinite(value):
+        raise CircuitError(f"angle expression {text!r} is not finite")
+    return value
+
+
+def _outcome(parse, text: str):
+    """``parse(text)`` as comparable data: the value's exact bits, or an error."""
+    try:
+        return parse(text).hex()
+    except CircuitError:
+        return "CircuitError"
+
+
+_SMALL_FRACTIONS = tuple(
+    value
+    for denom in range(1, 65)
+    for num in range(-64, 65)
+    for value in (num * math.pi / denom, num / denom * math.pi, math.pi * num / denom)
+)
+_SPECIAL_VALUES = (
+    0.0, -0.0, math.inf, -math.inf, math.nan,
+    5e-324, -5e-324, 2.2250738585072014e-308 / 3, -1e-310,
+    np.float64(math.pi / 4), np.float64(-3 * math.pi / 4), np.float64(0.0),
+    np.float64(-0.0), np.float64(0.1), np.float64(math.nan), 0, 1,
+)
+
+
+class TestTableRenderer:
+    def test_every_small_pi_fraction_renders_as_the_search_did(self):
+        for value in _SMALL_FRACTIONS:
+            assert _format_param(value) == legacy_format_param(value), value
+
+    @pytest.mark.parametrize("value", _SPECIAL_VALUES, ids=repr)
+    def test_special_values_render_as_the_search_did(self, value):
+        assert _format_param(value) == legacy_format_param(value)
+
+    @given(value=st.floats())
+    @settings(max_examples=300, deadline=None)
+    def test_any_float_renders_as_the_search_did(self, value):
+        assert _format_param(value) == legacy_format_param(value)
+
+
+QASM_REFERENCE = Path(__file__).parent / "data" / "fig9_10_qasm_sha256.json"
+
+
+def test_rendered_fig9_10_bytes_match_the_frozen_digests():
+    # ``benchmarks/freeze_fig9_10_reference.py`` pins the rendered text of all
+    # 88 level-1 Fig 9/10 compiles (CI reruns it); tier-1 checks Johannesburg.
+    reference = json.loads(QASM_REFERENCE.read_text())
+    device = johannesburg()
+    checked = 0
+    for name in PAPER_BENCHMARKS:
+        for method in ("baseline", "trios"):
+            result = transpile(
+                get_benchmark(name), device, method=method, seed=reference["seed"]
+            )
+            digest = hashlib.sha256(to_qasm(result.circuit).encode()).hexdigest()
+            assert digest == reference["hashes"][f"ibmq-johannesburg|{name}|{method}"], (
+                f"to_qasm text of ibmq-johannesburg|{name}|{method} drifted"
+            )
+            checked += 1
+    assert checked == 22
+
+
+# Token soups over the parser's alphabet: literals Python accepts and ones
+# it rejects (``01``), empty and unbalanced parentheses, a division by zero,
+# sign runs, spaces, exponents and bare names.
+_ANGLE_SOUP_TOKENS = st.sampled_from(
+    ["0", "1", "7", "01", "00", "12", "1.", ".5", "2.5", "1e5", "1E-3", "1.5e-07",
+     "e", "E", "e5", "pi", "p", "i", "+", "-", "*", "/", "//", "(", ")", "()",
+     "1/0", "--pi", " ", "  ", ".", "1e999", "123456789012345678901234567890"]
+)
+_ANGLE_SOUPS = st.lists(_ANGLE_SOUP_TOKENS, max_size=10).map("".join)
+
+
+class TestEvalFreeParser:
+    @pytest.mark.parametrize(
+        "text",
+        ["01", "()", "1/0", "--pi", "  pi/2", "00", "7//2", "-7//2.0", "-0", "0*-1.0",
+         "-pi/4", "3*pi/4", "1.5e-07", "+-+1", "(((1)))", "(1)(2)", "pi.e", "1 2",
+         "1e", "1.e5", ".5e1", "...", "", " ", "(", "1+", "2*-3", "2--3", "pi pi",
+         "01.5", "01e1", "0e0", "1//0", "0.0//0.0", "1e308*10", "9/3*pi"],
+    )
+    def test_known_cases_match_eval(self, text):
+        assert _outcome(_parse_angle, text) == _outcome(legacy_parse_angle, text)
+
+    @given(text=_ANGLE_SOUPS)
+    @settings(max_examples=500, deadline=None)
+    def test_token_soups_match_eval(self, text):
+        assert _outcome(_parse_angle, text) == _outcome(legacy_parse_angle, text)
+
+    @given(angle=_angles)
+    @settings(max_examples=200, deadline=None)
+    def test_every_rendered_angle_matches_eval(self, angle):
+        text = _format_param(angle)
+        assert _outcome(_parse_angle, text) == _outcome(legacy_parse_angle, text)
 
 
 # ----------------------------------------------------------------------

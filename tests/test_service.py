@@ -18,8 +18,11 @@ Covers the PR's hard guarantees:
 from __future__ import annotations
 
 import asyncio
+import gc
 import hashlib
 import json
+import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,6 +47,9 @@ from repro.hardware.library import by_name
 from repro.hardware.topology import CouplingMap
 from repro.runtime import Fault, FaultPlan, FailurePolicy
 from repro.runtime.faults import FAULTS_ENV_VAR
+import repro.service.jobs as jobs_module
+import repro.service.service as service_module
+from repro.service.jobs import canonical_qasm
 from repro.service import (
     CompileJob,
     CompileRequest,
@@ -333,6 +339,35 @@ class TestCompileJobKeys:
         b = CompileJob.from_qasm(reformatted, tiny_line(), "baseline")
         assert a.key == b.key
 
+    def test_raw_text_memo_shares_one_canonical_string(self, monkeypatch):
+        # Every request below is a distinct raw text (its own comment line)
+        # for the same circuit.  The raw -> canonical memo must keep one
+        # canonical string for all of them, not a fresh ~1 KB copy each: what
+        # an entry retains is its key and the LRU bookkeeping.  Parse and
+        # render are stubbed, as they are slow under tracemalloc and not what
+        # is measured; the render stub still returns a fresh string per call.
+        circuit = get_benchmark("cuccaro_adder-20")
+        text = to_qasm(circuit)
+        encoded = text.encode("utf-8")
+        monkeypatch.setattr(jobs_module, "from_qasm", lambda _text: circuit)
+        monkeypatch.setattr(jobs_module, "to_qasm", lambda _circuit: encoded.decode("utf-8"))
+        jobs_module._CANONICAL_QASM_CACHE.clear()
+        first, _ = canonical_qasm(f"// memo warm-up\n{text}")
+        count = 2000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(count):
+                canonical, parsed = canonical_qasm(f"// memo request {index}\n{text}")
+                assert canonical is first and parsed is circuit
+            del canonical, parsed
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / count < 400, f"{retained / count:.0f} B per memo entry"
+
 
 # ----------------------------------------------------------------------
 # The drivers as thin clients of the shared cache
@@ -407,7 +442,7 @@ def make_request(seed=11, target="line-20", method="baseline", **options):
 class TestCompileService:
     def test_identical_concurrent_requests_compile_once(self):
         async def scenario():
-            service = CompileService(pool_jobs=1, batch_window=0.02)
+            service = CompileService(pool_jobs=1)
             await service.start()
             try:
                 request = make_request()
@@ -457,7 +492,6 @@ class TestCompileService:
         async def scenario():
             service = CompileService(
                 pool_jobs=2,
-                batch_window=0.05,
                 policy=FailurePolicy(retries=0, on_error="skip"),
             )
             await service.start()
@@ -500,7 +534,6 @@ class TestCompileService:
         async def scenario():
             service = CompileService(
                 pool_jobs=2,
-                batch_window=0.05,
                 policy=FailurePolicy(retries=2, on_error="skip"),
             )
             await service.start()
@@ -518,6 +551,87 @@ class TestCompileService:
             assert response.status == "miss"
             assert response.attempts >= 2
             assert response.cnots > 0
+
+    def test_lone_miss_never_sleeps(self, monkeypatch):
+        real_sleep = asyncio.sleep
+        sleeps = []
+
+        async def recording_sleep(delay, *args, **kwargs):
+            sleeps.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+
+        async def scenario():
+            service = CompileService(pool_jobs=1)
+            await service.start()
+            try:
+                return service, await service.compile(make_request(seed=3))
+            finally:
+                await service.stop()
+
+        service, response = asyncio.run(scenario())
+        assert response.status == "miss"
+        assert sleeps == []
+
+    def test_requests_gathered_in_one_tick_share_one_batch(self):
+        async def scenario():
+            service = CompileService(pool_jobs=1)
+            await service.start()
+            try:
+                responses = await asyncio.gather(
+                    *[service.compile(make_request(seed=seed)) for seed in range(8)]
+                )
+            finally:
+                await service.stop()
+            return service, responses
+
+        service, responses = asyncio.run(scenario())
+        assert [response.status for response in responses] == ["miss"] * 8
+        assert len({response.key for response in responses}) == 8
+        assert service.stats.batches == 1
+        assert service.stats.pool_compiles == 8
+
+    def test_request_arriving_mid_batch_lands_in_the_next_batch(self, monkeypatch):
+        started = threading.Event()
+        release = threading.Event()
+        real_compile_cell = service_module._compile_cell
+
+        def gated_compile_cell(job):
+            started.set()
+            release.wait(timeout=30)
+            return real_compile_cell(job)
+
+        monkeypatch.setattr(service_module, "_compile_cell", gated_compile_cell)
+
+        async def scenario():
+            service = CompileService(pool_jobs=1)
+            batches = []
+            execute_batch = service._execute_batch
+
+            async def recording_execute_batch(batch):
+                batches.append([job.key for job in batch])
+                await execute_batch(batch)
+
+            service._execute_batch = recording_execute_batch
+            await service.start()
+            loop = asyncio.get_running_loop()
+            try:
+                first = asyncio.ensure_future(service.compile(make_request(seed=3)))
+                assert await loop.run_in_executor(None, started.wait, 30)
+                second = asyncio.ensure_future(service.compile(make_request(seed=5)))
+                await asyncio.sleep(0)
+                release.set()
+                responses = await asyncio.gather(first, second)
+            finally:
+                release.set()
+                await service.stop()
+            return service, batches, responses
+
+        service, batches, responses = asyncio.run(scenario())
+        assert [response.status for response in responses] == ["miss", "miss"]
+        assert batches == [[responses[0].key], [responses[1].key]]
+        assert service.stats.batches == 2
 
     def test_uncacheable_requests_bypass_cache_and_coalescing(self):
         async def scenario():
@@ -594,7 +708,7 @@ class TestCompileService:
         # jobs=3 at level 1 once shared the default key, coalesced with the
         # valid request and failed it.
         async def scenario():
-            service = CompileService(pool_jobs=1, batch_window=0.02)
+            service = CompileService(pool_jobs=1)
             await service.start()
             try:
                 return await asyncio.gather(
