@@ -38,6 +38,7 @@ change that contract.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Tuple
 
@@ -74,10 +75,24 @@ def compile_job_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-#: QASM text digest (raw or canonical) → canonical QASM.  Bounded like every
-#: other cache here; keeps the warm-path key derivation free of parsing
-#: entirely.
-_CANONICAL_QASM_CACHE = ShardedLRUCache(max_bytes=32 * 1024 * 1024, name="qasm")
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _memo_size(key: str, value: str) -> int:
+    """The charge of a memo entry: the lengths of its two strings."""
+    return len(key) + len(value)
+
+
+#: The raw → canonical QASM memo, two kinds of entry in one bounded cache.
+#: A raw text's digest maps to the canonical text's digest, and
+#: ``_TEXT_KEY + canonical digest`` maps to the canonical text, so every raw
+#: variant of a circuit shares, and is charged for, one stored text.  Keeps
+#: the warm-path key derivation free of parsing entirely.
+_CANONICAL_QASM_CACHE = ShardedLRUCache(
+    max_bytes=32 * 1024 * 1024, size_of=_memo_size, name="qasm"
+)
+_TEXT_KEY = "text:"
 
 
 def canonical_qasm(text: str) -> Tuple[str, Optional[QuantumCircuit]]:
@@ -87,24 +102,26 @@ def canonical_qasm(text: str) -> Tuple[str, Optional[QuantumCircuit]]:
     circuit when the raw text was memoized (no parse happened).  Raises
     :class:`ServiceRequestError` for text that does not parse.
     """
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    canonical = _CANONICAL_QASM_CACHE.get(digest)
-    if canonical is not None:
-        return canonical, None
+    digest = _sha256(text)
+    canonical_digest = _CANONICAL_QASM_CACHE.get(digest)
+    if canonical_digest is not None:
+        canonical = _CANONICAL_QASM_CACHE.get(_TEXT_KEY + canonical_digest)
+        if canonical is not None:
+            return canonical, None
     try:
         circuit = from_qasm(text)
     except ReproError as exc:
         raise ServiceRequestError(f"unparseable QASM: {exc}") from exc
     canonical = to_qasm(circuit)
-    canonical_digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    # Canonical text is its own canonical form, so its digest is a valid
-    # memo key too: one stored string serves every raw text of a circuit.
-    stored = _CANONICAL_QASM_CACHE.get(canonical_digest)
+    # Interned, so the raw entries of one circuit share one digest string.
+    canonical_digest = sys.intern(_sha256(canonical))
+    text_key = _TEXT_KEY + canonical_digest
+    stored = _CANONICAL_QASM_CACHE.get(text_key)
     if stored is None:
-        _CANONICAL_QASM_CACHE.put(canonical_digest, canonical)
+        _CANONICAL_QASM_CACHE.put(text_key, canonical)
     else:
         canonical = stored
-    _CANONICAL_QASM_CACHE.put(digest, canonical)
+    _CANONICAL_QASM_CACHE.put(digest, canonical_digest)
     return canonical, circuit
 
 

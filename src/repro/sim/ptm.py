@@ -5,9 +5,7 @@ Where the density backend (:mod:`repro.sim.density`) evolves the full complex
 *same* state as its real-valued coefficient vector in the normalized Pauli
 basis: ``r[alpha] = Tr(P_alpha rho) / sqrt(2^n)`` over the ``4^n`` Pauli
 strings ``alpha`` (quantumsim-style).  Hermiticity of ``rho`` makes every
-coefficient real, so the state costs ``4^n`` float64 values — **half** the
-memory of the flat complex density vector — and every operation becomes one
-real matrix contraction:
+coefficient real, so every operation is one real matrix contraction:
 
 * a unitary ``U`` on ``k`` qubits is its real ``4^k x 4^k`` PTM
   (:func:`~repro.sim.channels.unitary_ptm`), one contraction instead of the
@@ -18,26 +16,38 @@ real matrix contraction:
 * composition is matrix product, so the **fusion layer**
   (:func:`fuse_ptm_ops`) collapses runs of same-wire one-qubit
   gates/channels into one 4x4 PTM and absorbs pending 1q PTMs plus each
-  gate's own noise channel into a single ``4^k x 4^k`` contraction —
-  typically several fewer state-sized sweeps per gate.
+  gate's own noise channel into a single ``4^k x 4^k`` contraction.
 
-Implementation notes
---------------------
-The Pauli vector is indexed by ``n`` base-4 digits (I=0, X=1, Y=2, Z=3;
-qubit 0 most significant, matching the statevector convention).  Because a
-base-4 digit is exactly two bits, applying a ``4^k x 4^k`` PTM over ``k``
-base-4 wires *is* applying it over ``2k`` base-2 wires of a ``2n``-wire
-tensor — so the whole evolution reuses
-:func:`repro.sim.statevector.apply_matrix` unchanged, mirroring how
-``sim/density.py`` reuses the same kernel over ``2n`` wires (see
-:func:`apply_ptm`).
+The live set
+------------
+A routed Toffoli activates up to eight qubits, but far fewer of them are
+between their first and last operation at any moment (three or four on the
+eight-qubit Trios cells of Figures 6-8).  :func:`evolve_live` therefore
+carries the Pauli tensor over the **live set** only:
+
+* a qubit *joins* — as ``|0><0| = (I + Z)/2``, i.e. ``(1, 0, 0, 1)/sqrt(2)``
+  on (I, X, Y, Z) — at its first operation;
+* a qubit that is not kept (not measured) *leaves* right after its last
+  multi-qubit operation: it is traced out by keeping its I component times
+  ``sqrt(2)`` (the ``sqrt(2^n)`` normalization shrinks by one qubit).  Its
+  later one-qubit operations are skipped, as are all operations of a
+  qubit that never meets another.  Both are exact for any CPTP op stream,
+  ``"damping"`` mode included: the partial trace over a qubit commutes with
+  everything acting elsewhere, and a trace-preserving map on the traced
+  qubit leaves the rest unchanged.
+
+The tensor's axes are kept in whatever order the last contraction left them
+(tracked as a list of qubits), so each operation is one transpose-reshape and
+one matrix product, with no copy back into qubit order.  The largest live
+tensor is what ``sim.ptm.peak_bytes`` reports.
 
 Outcome probabilities live entirely in the I/Z subspace: a projector
-``|b><b|`` is a tensor product of ``(I ± Z)/2``, so ``p(b)`` is a per-qubit
-Hadamard transform of the ``2^n`` coefficients whose digits are all I or Z
-(:func:`pauli_probabilities`).  X/Y components never enter the readout,
-which is what makes optional truncation of near-zero Pauli components
-(``truncate_atol``) safe for effectively-sparse states.
+``|b><b|`` is a tensor product of ``(I ± Z)/2``, so ``p(b)`` over the ``m``
+measured qubits is a per-qubit Hadamard transform of the ``2^m``
+coefficients whose digits are all I or Z (:func:`pauli_probabilities`), read
+straight off the live tensor in the requested order.  :meth:`evolve` keeps
+every qubit and returns the full ``4^n`` vector in qubit order (qubit 0 the
+most significant base-4 digit; I=0, X=1, Y=2, Z=3).
 
 Noise semantics are identical to the density backend — the same per-gate
 channels from :class:`~repro.sim.channels.NoiseModel`, the same
@@ -61,15 +71,17 @@ from ..hardware.calibration import DeviceCalibration
 from .channels import NoiseModel, unitary_ptm
 from .density import finish_exact_distribution
 from .result import NoisyResult
-from .statevector import (
-    apply_matrix,
-    marginal_distribution,
-    reduce_for_measurement,
-)
+from .statevector import apply_matrix, reduce_for_measurement
 
 #: Identity PTM on one qubit — the fusion accumulator's seed.
 _IDENTITY_PTM = np.eye(4)
 _IDENTITY_PTM.setflags(write=False)
+
+_SQRT2 = math.sqrt(2.0)
+
+#: ``|0><0| = (I + Z)/2`` on one qubit in the normalized Pauli basis.
+_ZERO_PAULI = np.array([1.0, 0.0, 0.0, 1.0]) / _SQRT2
+_ZERO_PAULI.setflags(write=False)
 
 #: One-qubit Hadamard-transform factor taking (c_I, c_Z) to (p_0, p_1).
 _IZ_TO_PROB = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -92,54 +104,6 @@ def _fast_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-_ZERO_STATE_CACHE: Dict[int, np.ndarray] = {}
-
-
-def zero_pauli_state(num_qubits: int) -> np.ndarray:
-    """``|0...0><0...0|`` as a flat real Pauli vector of length ``4**num_qubits``.
-
-    ``|0><0| = (I + Z)/2``, so per qubit the normalized coefficients are
-    ``(1/sqrt(2), 0, 0, 1/sqrt(2))`` on (I, X, Y, Z).
-    """
-    if num_qubits < 1:
-        raise SimulationError("need at least one qubit")
-    cached = _ZERO_STATE_CACHE.get(num_qubits)
-    if cached is None:
-        single = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-        cached = single
-        for _ in range(num_qubits - 1):
-            cached = np.kron(cached, single)
-        cached.setflags(write=False)
-        _ZERO_STATE_CACHE[num_qubits] = cached
-    return cached.copy()
-
-
-def ptm_wires(qubits: Sequence[int]) -> Tuple[int, ...]:
-    """The base-2 wires of the given base-4 Pauli digits.
-
-    Digit ``q`` of the ``(4,)*n`` Pauli tensor occupies bits ``2q`` (high)
-    and ``2q + 1`` (low) of the ``(2,)*2n`` view, in that order — the same
-    trick the density backend uses to reuse the statevector kernel.
-    """
-    return tuple(bit for q in qubits for bit in (2 * q, 2 * q + 1))
-
-
-def apply_ptm(
-    state: np.ndarray, ptm: np.ndarray, qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Apply a ``4^k x 4^k`` PTM to the given qubits of a Pauli vector.
-
-    One real contraction via :func:`~repro.sim.statevector.apply_matrix`
-    over the ``2k`` base-2 wires backing the ``k`` base-4 digits.
-    """
-    k = len(qubits)
-    if ptm.shape != (4**k, 4**k):
-        raise SimulationError(
-            f"PTM of shape {ptm.shape} does not act on {k} qubits"
-        )
-    return apply_matrix(state, ptm, ptm_wires(qubits), 2 * num_qubits)
-
-
 #: Kron-powers of the one-qubit I/Z→probability transform, cached per qubit
 #: count.  At most ``2^10 x 2^10`` (8 MB); larger registers fall back to the
 #: per-qubit sweep.
@@ -150,8 +114,8 @@ _IZ_TRANSFORM_MAX_QUBITS = 10
 def _iz_transform(num_qubits: int) -> np.ndarray:
     cached = _IZ_TRANSFORM_CACHE.get(num_qubits)
     if cached is None:
-        cached = _IZ_TO_PROB
-        for _ in range(num_qubits - 1):
+        cached = np.ones((1, 1))
+        for _ in range(num_qubits):
             cached = _fast_kron(cached, _IZ_TO_PROB)
         cached = np.ascontiguousarray(cached)
         cached.setflags(write=False)
@@ -162,6 +126,8 @@ def _iz_transform(num_qubits: int) -> np.ndarray:
 def pauli_probabilities(state: np.ndarray, num_qubits: int) -> np.ndarray:
     """The outcome distribution read off the I/Z-subspace components.
 
+    ``state`` is a Pauli vector (flat, or as a ``(4,) * num_qubits`` tensor
+    whose axes are the outcome bits, most significant first).
     ``|b><b|`` is a tensor product of ``(I + (-1)^{b_q} Z)/2``, so the
     probability vector is a per-qubit Hadamard transform of the ``2^n``
     coefficients whose base-4 digits are all I (0) or Z (3).  Clipped and
@@ -220,16 +186,82 @@ def fuse_ptm_ops(ops: Sequence[PtmOp]) -> List[PtmOp]:
     return fused
 
 
+def evolve_live(
+    ops: Sequence[PtmOp], kept: Sequence[int]
+) -> Tuple[np.ndarray, List[int], int]:
+    """Evolve ``|0...0>`` through ``ops`` over the live set only.
+
+    Qubits join at their first applied op and every qubit not in ``kept``
+    leaves (is traced out) right after its last multi-qubit op; its later
+    one-qubit ops, and every op of a qubit that no multi-qubit op touches,
+    are skipped.  Exact for trace-preserving ops (see the module notes).
+
+    Returns ``(tensor, axes, peak_bytes)``: a ``(4,) * len(axes)`` tensor
+    whose axis ``i`` is qubit ``axes[i]`` (every touched kept qubit, in no
+    particular order), and the size of the largest tensor held on the way.
+    """
+    keep = set(kept)
+    # For a qubit that is not kept, the index of its last multi-qubit op:
+    # nothing after it can change the rest of the state.
+    leaves_after: Dict[int, int] = {}
+    for index, (qubits, _) in enumerate(ops):
+        if len(qubits) > 1:
+            for qubit in qubits:
+                if qubit not in keep:
+                    leaves_after[qubit] = index
+    state = np.ones(())
+    axes: List[int] = []
+    peak = 0
+    for index, (qubits, ptm) in enumerate(ops):
+        if any(q not in keep and leaves_after.get(q, -1) < index for q in qubits):
+            # A one-qubit op on a qubit that is not kept, after its last
+            # multi-qubit op (or on a qubit that has none): it cannot act on
+            # the kept qubits.
+            continue
+        for qubit in qubits:
+            if qubit not in axes:
+                state = np.multiply.outer(state, _ZERO_PAULI)
+                axes.append(qubit)
+        k = len(qubits)
+        targets = [axes.index(q) for q in qubits]
+        rest = [axis for axis in range(len(axes)) if axis not in targets]
+        moved = state.transpose(targets + rest).reshape(4**k, -1)
+        state = (ptm @ moved).reshape((4,) * len(axes))
+        axes = list(qubits) + [axes[axis] for axis in rest]
+        peak = max(peak, state.nbytes)
+        leaving = [leaves_after.get(q) == index for q in qubits]
+        if any(leaving):
+            # The op's qubits are the leading axes; keep I (index 0) on
+            # each leaving one, times sqrt(2) per traced qubit.
+            state = state[tuple(0 if gone else slice(None) for gone in leaving)]
+            state = state * _SQRT2 ** sum(leaving)
+            axes = [q for q, gone in zip(qubits, leaving) if not gone] + axes[k:]
+    return state, axes, peak
+
+
+def _ordered(state: np.ndarray, axes: List[int], qubits: Sequence[int]) -> np.ndarray:
+    """The live tensor over exactly ``qubits``, axes in that order.
+
+    Kept qubits that no op touched are still ``|0><0|`` and join here.
+    """
+    axes = list(axes)
+    for qubit in qubits:
+        if qubit not in axes:
+            state = np.multiply.outer(state, _ZERO_PAULI)
+            axes.append(qubit)
+    return state.transpose([axes.index(q) for q in qubits])
+
+
 class PauliTransferMatrixSimulator:
-    """Exact open-system simulator evolving a real ``4^n`` Pauli vector.
+    """Exact open-system simulator evolving a real Pauli vector.
 
     A drop-in peer of :class:`~repro.sim.density.DensityMatrixSimulator`
     (registered as backend ``"ptm"``): the same noise model, the same
     ``run_probabilities``/``run_counts`` surface, the same decoherence
-    modes — but half the state memory and one real contraction per (fused)
-    operation instead of multiple complex ones, which is what makes it the
-    fast exact path on the Fig 6-8 noisy workloads
-    (``benchmarks/bench_ptm.py``).
+    modes — but a real state over the live qubits only (:func:`evolve_live`)
+    and one real contraction per (fused) operation instead of multiple
+    complex ones, which is what makes it the fast exact path on the Fig 6-8
+    noisy workloads.
 
     Args:
         calibration: Device error model compiled into channels via
@@ -242,14 +274,12 @@ class PauliTransferMatrixSimulator:
         decoherence: ``"global"`` (the samplers' whole-register failure,
             default) or ``"damping"`` (per-qubit amplitude+phase damping per
             gate duration) — identical semantics to the density backend.
-        max_active_qubits: Size limit; ``4**n`` *real* values, so the
-            default 12 costs the same memory as the density backend's
-            default 11 (the Pauli vector halves the bytes per qubit count).
+        max_active_qubits: Limit on the active-plus-measured qubit count.
+            The live tensor is never wider, and at ``4**n`` *real* values the
+            default 12 costs at most the memory the density backend's default
+            11 does.
         fuse: Run the channel-fusion layer (:func:`fuse_ptm_ops`) before
             contracting (default on; exact either way).
-        truncate_atol: When positive, zero Pauli components with magnitude
-            below this after every contraction — a lossy sparsity knob for
-            effectively-sparse states (default ``0.0`` = exact).
     """
 
     def __init__(
@@ -262,16 +292,11 @@ class PauliTransferMatrixSimulator:
         decoherence: str = "global",
         max_active_qubits: int = 12,
         fuse: bool = True,
-        truncate_atol: float = 0.0,
     ) -> None:
         if decoherence not in ("global", "damping"):
             raise SimulationError(
                 f"unknown decoherence mode {decoherence!r}; "
                 "expected 'global' or 'damping'"
-            )
-        if truncate_atol < 0:
-            raise SimulationError(
-                f"truncate_atol must be non-negative, got {truncate_atol}"
             )
         self.calibration = calibration
         self.noise_model = NoiseModel(calibration) if calibration is not None else None
@@ -282,7 +307,6 @@ class PauliTransferMatrixSimulator:
         self.decoherence = decoherence
         self.max_active_qubits = max_active_qubits
         self.fuse = fuse
-        self.truncate_atol = truncate_atol
 
     # ------------------------------------------------------------------
     def circuit_ops(self, circuit: QuantumCircuit) -> List[PtmOp]:
@@ -316,12 +340,34 @@ class PauliTransferMatrixSimulator:
                     ops.extend(((qubit,), idle_ptm) for qubit in qubits)
         return ops
 
-    def evolve(self, circuit: QuantumCircuit) -> np.ndarray:
-        """The final real ``4^n`` Pauli vector of ``circuit``.
+    def _evolve(
+        self, circuit: QuantumCircuit, kept: Sequence[int]
+    ) -> Tuple[np.ndarray, List[int]]:
+        """:func:`evolve_live` over ``circuit``'s (fused) op stream, observed."""
+        ops = self.circuit_ops(circuit)
+        raw_ops = len(ops)
+        if self.fuse:
+            ops = fuse_ptm_ops(ops)
+        state, axes, peak_bytes = evolve_live(ops, kept)
+        if obs.is_enabled():
+            obs.counter("sim.ptm.op_applications").inc(len(ops))
+            obs.counter("sim.ptm.fused_ops_saved").inc(raw_ops - len(ops))
+            obs.histogram("sim.ptm.peak_bytes").observe(float(peak_bytes))
+            obs.add_attrs(
+                op_applications=len(ops),
+                raw_ops=raw_ops,
+                fused_ops_saved=raw_ops - len(ops),
+                peak_bytes=peak_bytes,
+            )
+        return state, axes
 
-        Global decoherence and readout are classical post-processing on the
-        outcome distribution (shared with the density backend) and are *not*
-        part of this vector.
+    def evolve(self, circuit: QuantumCircuit) -> np.ndarray:
+        """The final real ``4^n`` Pauli vector of ``circuit``, in qubit order.
+
+        Every qubit is kept, so nothing is traced out.  Global decoherence
+        and readout are classical post-processing on the outcome
+        distribution (shared with the density backend) and are *not* part
+        of this vector.
         """
         if circuit.num_qubits > self.max_active_qubits:
             raise SimulationError(
@@ -329,28 +375,9 @@ class PauliTransferMatrixSimulator:
                 f"limit ({self.max_active_qubits}); restrict to active "
                 "qubits first"
             )
-        num_qubits = circuit.num_qubits
-        ops = self.circuit_ops(circuit)
-        raw_ops = len(ops)
-        if self.fuse:
-            ops = fuse_ptm_ops(ops)
-        state = zero_pauli_state(num_qubits)
-        truncate = self.truncate_atol
-        for qubits, ptm in ops:
-            state = apply_ptm(state, ptm, qubits, num_qubits)
-            if truncate > 0.0:
-                state[np.abs(state) < truncate] = 0.0
-        if obs.is_enabled():
-            obs.counter("sim.ptm.op_applications").inc(len(ops))
-            obs.counter("sim.ptm.fused_ops_saved").inc(raw_ops - len(ops))
-            obs.histogram("sim.ptm.peak_bytes").observe(float(state.nbytes))
-            obs.add_attrs(
-                op_applications=len(ops),
-                raw_ops=raw_ops,
-                fused_ops_saved=raw_ops - len(ops),
-                peak_bytes=state.nbytes,
-            )
-        return state
+        qubits = range(circuit.num_qubits)
+        state, axes = self._evolve(circuit, qubits)
+        return np.ascontiguousarray(_ordered(state, axes, qubits)).reshape(-1)
 
     def _exact_distribution(
         self,
@@ -366,14 +393,17 @@ class PauliTransferMatrixSimulator:
                 f"{reduced.num_qubits} active qubits exceeds the PTM "
                 f"simulator limit ({self.max_active_qubits})"
             )
+        if len(set(compact_measured)) != len(compact_measured):
+            raise SimulationError(
+                f"duplicate qubits in marginal request: {compact_measured}"
+            )
         with obs.span(
             "ptm.run", category="sim", source=circuit.name,
             qubits=reduced.num_qubits, fuse=self.fuse,
         ):
-            state = self.evolve(reduced)
-            probabilities = pauli_probabilities(state, reduced.num_qubits)
-            distribution = marginal_distribution(
-                probabilities, reduced.num_qubits, compact_measured
+            state, axes = self._evolve(reduced, compact_measured)
+            distribution = pauli_probabilities(
+                _ordered(state, axes, compact_measured), len(compact_measured)
             )
             distribution = finish_exact_distribution(
                 distribution, circuit, self, len(measured_qubits)

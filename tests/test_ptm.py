@@ -10,7 +10,12 @@ Three layers of evidence that ``"ptm"`` is an exact drop-in for
    agreement with the density backend on the compiled Figure 6-8 cells,
    with fusion on or off;
 3. the plumbing — registry construction, capability classification, the
-   fusion/truncation knobs and the error paths.
+   fusion knob and the error paths.
+
+The live-set engine (``repro.sim.ptm.evolve_live``) is checked against a
+full-width Pauli-vector reference kept in this file, which carries every
+qubit for the whole circuit, to ``1e-12``, and against the density backend
+to ``1e-9``.
 """
 
 from __future__ import annotations
@@ -23,8 +28,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.circuits import QuantumCircuit
 from repro.exceptions import SimulationError
+from repro.experiments.benchmarks import compile_benchmark_cached
 from repro.experiments.toffoli import CONFIGURATIONS, compile_configuration
 from repro.hardware import johannesburg, johannesburg_aug19_2020
 from repro.sim import (
@@ -47,17 +54,80 @@ from repro.sim.channels import (
     unitary_channel,
     unitary_ptm,
 )
-from repro.sim.ptm import (
-    apply_ptm,
-    fuse_ptm_ops,
-    pauli_probabilities,
-    ptm_wires,
-    zero_pauli_state,
+from repro.sim.density import finish_exact_distribution
+from repro.sim.ptm import evolve_live, fuse_ptm_ops, pauli_probabilities
+from repro.sim.statevector import (
+    apply_matrix,
+    marginal_distribution,
+    reduce_for_measurement,
 )
 from tests.test_density import SMALL_TRIPLETS, toffoli_workload
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
+
+
+# ----------------------------------------------------------------------
+# Full-width reference: the whole 4^n Pauli vector for the whole circuit
+# ----------------------------------------------------------------------
+def zero_pauli_state(num_qubits: int) -> np.ndarray:
+    """``|0...0><0...0|`` as a flat real Pauli vector of length ``4**num_qubits``."""
+    if num_qubits < 1:
+        raise SimulationError("need at least one qubit")
+    single = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    state = single
+    for _ in range(num_qubits - 1):
+        state = np.kron(state, single)
+    return state
+
+
+def ptm_wires(qubits):
+    """Digit ``q`` of the ``(4,)*n`` tensor is bits ``2q`` and ``2q+1`` of ``(2,)*2n``."""
+    return tuple(bit for q in qubits for bit in (2 * q, 2 * q + 1))
+
+
+def apply_ptm(state, ptm, qubits, num_qubits):
+    """Apply a ``4^k x 4^k`` PTM to ``qubits`` of a full-width Pauli vector."""
+    k = len(qubits)
+    if ptm.shape != (4**k, 4**k):
+        raise SimulationError(f"PTM of shape {ptm.shape} does not act on {k} qubits")
+    return apply_matrix(state, ptm, ptm_wires(qubits), 2 * num_qubits)
+
+
+def full_width_evolve(simulator, circuit) -> np.ndarray:
+    """Every qubit, every op, start to end: the reference Pauli vector."""
+    ops = simulator.circuit_ops(circuit)
+    if simulator.fuse:
+        ops = fuse_ptm_ops(ops)
+    state = zero_pauli_state(circuit.num_qubits)
+    for qubits, ptm in ops:
+        state = apply_ptm(state, ptm, qubits, circuit.num_qubits)
+    return state
+
+
+def full_width_probabilities(simulator, circuit, measured_qubits=None):
+    """``run_probabilities`` by marginalising the full-width vector."""
+    reduced, measured_qubits, compact = reduce_for_measurement(circuit, measured_qubits)
+    state = full_width_evolve(simulator, reduced)
+    distribution = marginal_distribution(
+        pauli_probabilities(state, reduced.num_qubits), reduced.num_qubits, compact
+    )
+    distribution = finish_exact_distribution(
+        distribution, circuit, simulator, len(measured_qubits)
+    )
+    if not measured_qubits:
+        return {"": 1.0}
+    width = len(measured_qubits)
+    return {
+        format(index, f"0{width}b"): float(probability)
+        for index, probability in enumerate(distribution)
+        if probability > 1e-15
+    }
+
+
+def worst_gap(a, b) -> float:
+    keys = set(a) | set(b)
+    return max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
 def assert_round_trips(channel) -> None:
@@ -392,6 +462,133 @@ class TestEngineExactness:
             ) < 1e-9
 
 
+def routed_toffoli(configuration, triplet, seed=7):
+    """A compiled Figure 6-8 cell on Johannesburg: (circuit, measured qubits)."""
+    compiled = compile_configuration(
+        configuration, johannesburg(), dict(enumerate(triplet)), seed=seed
+    )
+    return compiled.circuit.without(["measure"]), compiled.physical_qubits_of([0, 1, 2])
+
+
+#: Near, medium and far triplets: routing distance sets the compiled length,
+#: i.e. how much fusion and the live set have to chew through.
+BENCHMARK_TRIPLETS = {"fig6-near": (0, 1, 2), "fig6-medium": (0, 5, 6), "fig6-far": (2, 6, 10)}
+
+
+def ptm_benchmark_case(label):
+    """The raw Toffoli, a compiled Trios cell or a compiled Table 1 benchmark."""
+    if label == "toffoli-4q":
+        return toffoli_workload(), [0, 1, 2]
+    if label in BENCHMARK_TRIPLETS:
+        return routed_toffoli("Trios (8-CNOT Toffoli)", BENCHMARK_TRIPLETS[label])
+    compiled = compile_benchmark_cached(label, johannesburg(), "trios", 11)
+    return compiled.circuit.without(["measure"]), compiled.physical_qubits_of([0, 1, 2, 3])
+
+
+class TestLiveSetExactness:
+    """The live-set engine against the full-width reference and density."""
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    @pytest.mark.parametrize("decoherence", ["global", "damping"])
+    def test_evolve_matches_full_width_vector(self, decoherence, fuse):
+        calibration = johannesburg_aug19_2020()
+        simulator = PauliTransferMatrixSimulator(
+            calibration, decoherence=decoherence, fuse=fuse
+        )
+        routed, _ = routed_toffoli("Qiskit (baseline)", (0, 5, 6))
+        reduced, _, _ = reduce_for_measurement(routed)
+        for circuit in (toffoli_workload(), reduced, QuantumCircuit(3).h(1)):
+            actual = simulator.evolve(circuit)
+            expected = full_width_evolve(simulator, circuit)
+            assert actual.shape == (4**circuit.num_qubits,)
+            assert np.abs(actual - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    @pytest.mark.parametrize("decoherence", ["global", "damping"])
+    @pytest.mark.parametrize(
+        "measured",
+        [
+            pytest.param(lambda m: m[::-1], id="reversed"),
+            pytest.param(lambda m: m[1:], id="partial"),
+            pytest.param(lambda m: [], id="empty"),
+            # Qubit 19 is idle in this cell: it is |0> and no gate touches it.
+            pytest.param(lambda m: [m[2], 19, m[0]], id="untouched"),
+        ],
+    )
+    def test_measured_subsets(self, measured, decoherence, fuse):
+        calibration = johannesburg_aug19_2020()
+        circuit, default = routed_toffoli("Trios (8-CNOT Toffoli)", (2, 6, 10))
+        assert 19 not in circuit.active_qubits()
+        qubits = measured(default)
+        ptm = PauliTransferMatrixSimulator(
+            calibration, decoherence=decoherence, fuse=fuse
+        )
+        actual = ptm.run_probabilities(circuit, measured_qubits=qubits)
+        if not qubits:
+            assert actual == {"": 1.0}
+        reference = full_width_probabilities(ptm, circuit, qubits)
+        assert worst_gap(actual, reference) < 1e-12
+        density = DensityMatrixSimulator(
+            calibration, decoherence=decoherence
+        ).run_probabilities(circuit, measured_qubits=qubits)
+        assert worst_gap(actual, density) < 1e-9
+
+    @pytest.mark.parametrize("decoherence", ["global", "damping"])
+    def test_swapped_away_qubits_leave_early(self, decoherence):
+        # (19, 0, 14) routes through eight qubits, but the SWAP chains leave
+        # at most three live at once: the peak tensor is 4^3 values, not 4^8.
+        calibration = johannesburg_aug19_2020()
+        circuit, measured = routed_toffoli("Trios (8-CNOT Toffoli)", (19, 0, 14))
+        assert len(circuit.active_qubits() | set(measured)) == 8
+        simulator = PauliTransferMatrixSimulator(calibration, decoherence=decoherence)
+        obs.enable()
+        try:
+            obs.clear()
+            actual = simulator.run_probabilities(circuit, measured_qubits=measured)
+            peak = obs.metrics_summary()["sim.ptm.peak_bytes"]["max"]
+        finally:
+            obs.disable()
+        assert peak <= 8 * 4**3 < 8 * 4**8
+        assert worst_gap(actual, full_width_probabilities(simulator, circuit, measured)) < 1e-12
+        density = DensityMatrixSimulator(
+            calibration, decoherence=decoherence
+        ).run_probabilities(circuit, measured_qubits=measured)
+        assert worst_gap(actual, density) < 1e-9
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    @pytest.mark.parametrize(
+        "label", ["toffoli-4q", *BENCHMARK_TRIPLETS, "cnx_inplace-4"]
+    )
+    def test_matches_density_on_benchmark_cases(self, label, fuse):
+        calibration = johannesburg_aug19_2020()
+        circuit, measured = ptm_benchmark_case(label)
+        density = DensityMatrixSimulator(calibration).run_probabilities(
+            circuit, measured_qubits=measured
+        )
+        ptm = PauliTransferMatrixSimulator(calibration, fuse=fuse).run_probabilities(
+            circuit, measured_qubits=measured
+        )
+        assert worst_gap(density, ptm) < 1e-9, label
+
+    def test_traced_out_state_keeps_unit_trace(self):
+        # Tracing a qubit out keeps its I component times sqrt(2), so the
+        # live tensor stays a normalized Pauli vector: r[I...I] = 2^(-m/2).
+        simulator = PauliTransferMatrixSimulator(johannesburg_aug19_2020())
+        circuit, measured = routed_toffoli("Trios (8-CNOT Toffoli)", (19, 0, 14))
+        reduced, _, compact = reduce_for_measurement(circuit, measured)
+        ops = fuse_ptm_ops(simulator.circuit_ops(reduced))
+        for kept in (compact, compact[:1], []):
+            state, axes, _ = evolve_live(ops, kept)
+            assert sorted(axes) == sorted(kept)
+            assert abs(state[(0,) * len(axes)] - 2.0 ** (-len(axes) / 2)) < 1e-12
+
+    def test_duplicate_measured_qubits_are_rejected(self):
+        with pytest.raises(SimulationError, match="duplicate"):
+            PauliTransferMatrixSimulator().run_probabilities(
+                toffoli_workload(), measured_qubits=[0, 0]
+            )
+
+
 class TestKnobsAndPlumbing:
     def test_registered_in_registry(self):
         calibration = johannesburg_aug19_2020()
@@ -402,29 +599,6 @@ class TestKnobsAndPlumbing:
     def test_requires_calibration(self):
         with pytest.raises(SimulationError, match="calibration"):
             get_backend("ptm")
-
-    def test_truncation_zero_is_exact_and_small_atol_is_close(self):
-        calibration = johannesburg_aug19_2020()
-        circuit = toffoli_workload()
-        exact = PauliTransferMatrixSimulator(calibration).run_probabilities(circuit)
-        truncated = PauliTransferMatrixSimulator(
-            calibration, truncate_atol=1e-12
-        ).run_probabilities(circuit)
-        keys = set(exact) | set(truncated)
-        assert max(abs(exact.get(k, 0.0) - truncated.get(k, 0.0)) for k in keys) < 1e-9
-
-    def test_aggressive_truncation_drops_components(self):
-        simulator = PauliTransferMatrixSimulator(truncate_atol=0.5)
-        circuit = QuantumCircuit(1)
-        circuit.h(0)
-        state = simulator.evolve(circuit)
-        # |+> has coefficients (1/sqrt2, 1/sqrt2, 0, 0); atol=0.5 keeps them,
-        # but the truncation hook must have run without error.
-        assert np.count_nonzero(state) <= 2
-
-    def test_rejects_negative_truncate_atol(self):
-        with pytest.raises(SimulationError, match="truncate_atol"):
-            PauliTransferMatrixSimulator(truncate_atol=-1e-3)
 
     def test_rejects_unknown_decoherence_mode(self):
         with pytest.raises(SimulationError, match="decoherence"):
@@ -437,7 +611,7 @@ class TestKnobsAndPlumbing:
 
     def test_simulator_pickles(self):
         simulator = PauliTransferMatrixSimulator(
-            johannesburg_aug19_2020(), seed=3, truncate_atol=1e-14
+            johannesburg_aug19_2020(), seed=3
         )
         clone = pickle.loads(pickle.dumps(simulator))
         circuit = toffoli_workload()

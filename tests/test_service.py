@@ -369,6 +369,22 @@ class TestCompileJobKeys:
         assert retained / count < 400, f"{retained / count:.0f} B per memo entry"
 
 
+    def test_raw_variants_are_charged_the_canonical_text_once(self):
+        # Each raw variant costs its two digests; the canonical text is
+        # stored, and charged, once for all of them.
+        text = to_qasm(get_benchmark("cnx_inplace-4"))
+        memo = jobs_module._CANONICAL_QASM_CACHE
+        memo.clear()
+        count = 50
+        for index in range(count):
+            canonical, _ = canonical_qasm(f"// variant {index}\n{text}")
+        assert canonical == text
+        stats = memo.stats()
+        assert stats.entries == count + 1
+        digest_chars = 64
+        text_entry = len(jobs_module._TEXT_KEY) + digest_chars + len(text)
+        assert stats.current_bytes == count * 2 * digest_chars + text_entry
+
 # ----------------------------------------------------------------------
 # The drivers as thin clients of the shared cache
 # ----------------------------------------------------------------------
