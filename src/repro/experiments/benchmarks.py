@@ -148,7 +148,23 @@ class BenchmarkExperimentResult:
 #: can never collide on one entry.  Both pipelines are deterministic given a
 #: seed, so caching never changes results.  The cache is per process; pool
 #: workers each warm their own copy.
-_COMPILE_CACHE = ShardedLRUCache(name="compile")
+#:
+#: Entries are charged a structural estimate, not their pickled size (one
+#: ``pickle.dumps`` per ``put`` cost ~0.5 ms, a tenth of a Fig 6-8 unit): a
+#: fixed share for the pass spans, layouts and property set plus a share
+#: per compiled instruction.  Both constants are fitted to tracemalloc's
+#: retained bytes over the Table 1 benchmarks and the Fig 6-8 Toffoli cells
+#: (CPython 3.11), which they match within 1.5x.
+_RESULT_BYTES = 5_600
+_INSTRUCTION_BYTES = 112
+
+
+def compile_result_size(key: str, result: CompilationResult) -> int:
+    """The byte charge of one cached compile: structural, no serialisation."""
+    return len(key) + _RESULT_BYTES + _INSTRUCTION_BYTES * len(result.circuit.instructions)
+
+
+_COMPILE_CACHE = ShardedLRUCache(name="compile", size_of=compile_result_size)
 
 
 def clear_compile_cache() -> None:

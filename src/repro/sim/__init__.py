@@ -13,10 +13,10 @@ Module map
   shared by the optimisation passes' debug mode, the test suite and the
   benchmark harnesses.
 * :mod:`~repro.sim.channels` — the noise-channel layer: Kraus/superoperator
-  :class:`~repro.sim.channels.QuantumChannel` objects compiled from a
-  :class:`~repro.hardware.calibration.DeviceCalibration` by
-  :class:`~repro.sim.channels.NoiseModel`, with CPTP validation.  Both the
-  samplers and the density backend read their error model from here.
+  :class:`~repro.sim.channels.QuantumChannel` objects resolved on physical
+  qubits from a :class:`~repro.hardware.calibration.DeviceCalibration` and
+  built once per process, with CPTP validation.  Every noisy engine reads
+  its error model from here.
 * :mod:`~repro.sim.noise` — shot-sampling noisy engines: the stochastic-Pauli
   trajectory Monte Carlo and the paper's gate-failure model, batched over the
   shot dimension.
@@ -24,9 +24,8 @@ Module map
   evolution under the same channels, analytic outcome distributions
   (``run_probabilities``) and multinomial shot sampling (``run_counts``).
 * :mod:`~repro.sim.ptm` — the fast exact open-system engine: the same noise
-  model evolved as a real ``4^n`` Pauli-transfer-matrix vector (quantumsim
-  style) with channel fusion and optional component truncation — half the
-  memory of the density matrix and one real contraction per fused operation.
+  model evolved as a real Pauli-transfer-matrix vector over the live qubits
+  (quantumsim style), one real contraction per fused operation.
 * :mod:`~repro.sim.estimator` — the paper's closed-form success model (§2.6).
 * :mod:`~repro.sim.result` — the :class:`NoisyResult` counts container.
 

@@ -11,12 +11,16 @@ channels, and every execution engine consumes the same objects:
   the exact engines are guaranteed to model the *same* noise.
 
 A :class:`QuantumChannel` stores its Kraus operators and lazily caches the
-superoperator and Choi representations; :meth:`QuantumChannel.is_cptp`
+superoperator, PTM and Choi representations; :meth:`QuantumChannel.is_cptp`
 validates complete positivity (Choi positivity) and trace preservation
-(Kraus completeness).  :class:`NoiseModel` memoizes per-instruction channels —
-depolarizing/Pauli channels for gates, amplitude+phase damping for idle
-windows, and a stochastic confusion matrix for readout — and is picklable, so
-it crosses the ``--jobs`` process-pool boundary intact.
+(Kraus completeness).  :class:`NoiseModel` resolves an instruction's noise on
+its *physical* qubits — a depolarizing channel at the (possibly per-edge)
+calibrated rate, amplitude+phase damping for its duration, and a stochastic
+confusion matrix for readout — and :func:`resolve_noise` walks a circuit
+through it for the exact backends.  The channels live in one bounded,
+process-wide table keyed on the exact bits of their parameters, so each is
+built (Kraus operators, superoperator, PTM) once per process, however many
+backends and calibrations ask for it.
 
 Conventions: ``vec`` is row-major (``vec(rho)[i*d + j] = rho[i, j]``), so the
 superoperator of Kraus set ``{K}`` is ``S = sum_K kron(K, K.conj())`` and
@@ -28,11 +32,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Mapping, Optional, Tuple
+import struct
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..circuits.circuit import Instruction
+from ..circuits.circuit import Instruction, QuantumCircuit
 from ..exceptions import SimulationError
 from ..hardware.calibration import DeviceCalibration, damping_parameters
 
@@ -213,9 +218,9 @@ class QuantumChannel:
         ``R[alpha, beta] = Tr(P_alpha E(P_beta)) / 2^k`` in the normalized
         Pauli basis — derived from the cached superoperator by the Pauli
         basis change (:func:`ptm_from_superoperator`), computed once and
-        cached read-only.  Because :class:`NoiseModel` memoizes channels per
-        calibration, every repeated instruction shares one PTM, exactly as it
-        shares one superoperator today.  The PTM backend
+        cached read-only.  The process-wide channel table hands every
+        instruction with the same error rate the same channel, so they all
+        share one PTM (and one superoperator).  The PTM backend
         (:mod:`repro.sim.ptm`) applies this with a single real contraction
         per channel.
         """
@@ -417,53 +422,70 @@ def gate_error_probability(
     )
 
 
-class NoiseModel:
-    """Per-instruction quantum channels compiled from a device calibration.
+#: The process-wide channel table: every noise channel a calibration compiles
+#: to, keyed on the exact bits of its defining parameters — ``("depolarizing",
+#: arity, p)`` for gate errors, ``("damping", gamma, lam)`` for idle windows
+#: (never on a duration alone, which means different damping at another
+#: T1/T2).  Each entry is one :class:`QuantumChannel`, so its superoperator
+#: and PTM are built once per process and shared by every backend, every
+#: :class:`NoiseModel` and every calibration with the same rates.  Bounded
+#: like :data:`_UNITARY_PTM_CACHE`: cleared wholesale on overflow.  Two
+#: threads missing on one key at once each build an equal channel; either
+#: entry is correct, so the table needs no lock.
+_CHANNEL_TABLE: Dict[Tuple[object, ...], QuantumChannel] = {}
+_CHANNEL_TABLE_LIMIT = 4096
 
-    Channels are memoized by their defining parameters (gate arity and error
-    rate, idle duration), so repeated instructions share one
-    :class:`QuantumChannel` object — and one cached superoperator.  The model
-    is picklable; pool workers receiving one re-derive nothing.
+
+def _tabled(key: Tuple[object, ...], build: Callable[[], QuantumChannel]) -> QuantumChannel:
+    channel = _CHANNEL_TABLE.get(key)
+    if channel is None:
+        if len(_CHANNEL_TABLE) >= _CHANNEL_TABLE_LIMIT:
+            _CHANNEL_TABLE.clear()
+        channel = build()
+        _CHANNEL_TABLE[key] = channel
+    return channel
+
+
+class NoiseModel:
+    """Resolves each instruction's noise, on its physical qubits, to channels.
+
+    The model holds only its calibration: the channels themselves come from
+    the process-wide channel table, so a fresh model (one per
+    :func:`~repro.sim.get_backend` call) reuses every channel, superoperator
+    and PTM an earlier one built.  Picklable; a pool worker fills its own
+    table on first use.
     """
 
     def __init__(self, calibration: DeviceCalibration) -> None:
         self.calibration = calibration
-        self._gate_channels: Dict[Tuple[int, float], QuantumChannel] = {}
-        self._idle_channels: Dict[float, QuantumChannel] = {}
         self._confusion: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    def gate_error_probability(self, instruction: Instruction) -> float:
-        """See :func:`gate_error_probability`."""
-        return gate_error_probability(self.calibration, instruction)
-
     def gate_channel(self, instruction: Instruction) -> Optional[QuantumChannel]:
         """The noise channel following ``instruction``, or ``None`` if noiseless.
 
-        A uniform non-identity Pauli channel with the instruction's calibrated
-        error probability — the exact channel the trajectory sampler samples.
+        A uniform non-identity Pauli channel with the error probability of
+        the instruction's physical qubits — the exact channel the trajectory
+        sampler samples.
         """
-        probability = self.gate_error_probability(instruction)
+        probability = gate_error_probability(self.calibration, instruction)
         if probability <= 0.0:
             return None
-        key = (len(instruction.qubits), probability)
-        channel = self._gate_channels.get(key)
-        if channel is None:
-            channel = depolarizing_channel(probability, len(instruction.qubits))
-            self._gate_channels[key] = channel
-        return channel
+        arity = len(instruction.qubits)
+        return _tabled(
+            ("depolarizing", arity, struct.pack("<d", probability)),
+            lambda: depolarizing_channel(probability, arity),
+        )
 
     def idle_channel(self, duration: float) -> Optional[QuantumChannel]:
         """Amplitude+phase damping for an idle window of ``duration`` µs."""
         if duration <= 0.0:
             return None
-        channel = self._idle_channels.get(duration)
-        if channel is None:
-            gamma, lam = self.calibration.damping_parameters(duration)
-            channel = amplitude_phase_damping_channel(gamma, lam)
-            channel.name = f"idle(t={duration:g}us)"
-            self._idle_channels[duration] = channel
-        return channel
+        gamma, lam = self.calibration.damping_parameters(duration)
+        return _tabled(
+            ("damping", struct.pack("<dd", gamma, lam)),
+            lambda: amplitude_phase_damping_channel(gamma, lam),
+        )
 
     def decoherence_failure_probability(self, duration: float) -> float:
         """The paper's whole-register scramble probability for ``duration`` µs."""
@@ -477,3 +499,32 @@ class NoiseModel:
 
     def __repr__(self) -> str:
         return f"NoiseModel({self.calibration.name!r})"
+
+
+def resolve_noise(
+    circuit: QuantumCircuit,
+    model: Optional[NoiseModel],
+    gate_errors: bool = True,
+    damping: bool = False,
+) -> Iterator[Tuple[Instruction, Optional[QuantumChannel], Optional[QuantumChannel]]]:
+    """Each unitary instruction of ``circuit`` with its gate and idle channel.
+
+    The single calibration → noise step of the exact backends.  Errors are
+    looked up on the instruction's *physical* qubits (per-edge CNOT rates
+    included); only then may a backend map those qubits to its own axes.
+    The idle channel (``damping`` mode: damping for the gate's duration) acts
+    on each of the qubits; either is ``None`` when off, zero, or noiseless.
+    """
+    for instruction in circuit.instructions:
+        if not instruction.gate.is_unitary:
+            continue
+        if model is None:
+            yield instruction, None, None
+            continue
+        gate = model.gate_channel(instruction) if gate_errors else None
+        idle = None
+        if damping:
+            idle = model.idle_channel(
+                model.calibration.gate_duration(instruction.name, instruction.qubits)
+            )
+        yield instruction, gate, idle

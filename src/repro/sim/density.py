@@ -40,7 +40,7 @@ Two decoherence modes are offered:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,14 +48,10 @@ from .. import obs
 from ..circuits.circuit import QuantumCircuit
 from ..exceptions import SimulationError
 from ..hardware.calibration import DeviceCalibration
-from .channels import NoiseModel
+from .channels import NoiseModel, resolve_noise
 from .estimator import circuit_duration
 from .result import NoisyResult
-from .statevector import (
-    apply_matrix,
-    marginal_distribution,
-    reduce_for_measurement,
-)
+from .statevector import apply_matrix, marginal_distribution, measurement_axes
 
 
 def zero_density(num_qubits: int) -> np.ndarray:
@@ -100,21 +96,13 @@ def density_diagonal(rho: np.ndarray, num_qubits: int) -> np.ndarray:
     return probabilities / total
 
 
-class DensityMatrixSimulator:
-    """Exact open-system simulator: noise as channels, no shot sampling.
+class ExactSimulator:
+    """What the exact engines share: noise toggles and the output surface.
 
-    Args:
-        calibration: Device error model compiled into channels via
-            :class:`~repro.sim.channels.NoiseModel`; ``None`` simulates
-            noiselessly (then equal to the statevector distribution).
-        seed: Seed for the multinomial generator behind :meth:`run_counts`
-            (:meth:`run_probabilities` consumes no randomness).
-        include_gate_errors / include_decoherence / include_readout_error:
-            Toggles for the three noise contributions, mirroring the samplers.
-        decoherence: ``"global"`` (the samplers' whole-register failure,
-            default) or ``"damping"`` (per-qubit amplitude+phase damping per
-            gate duration).
-        max_active_qubits: Dense-density size limit; ``4**n`` amplitudes.
+    Subclasses implement :meth:`_exact_distribution`; this class turns it
+    into analytic probabilities (:meth:`run_probabilities`) and multinomial
+    shot counts (:meth:`run_counts`).  See :class:`DensityMatrixSimulator`
+    for the constructor arguments.
     """
 
     def __init__(
@@ -141,92 +129,14 @@ class DensityMatrixSimulator:
         self.decoherence = decoherence
         self.max_active_qubits = max_active_qubits
 
-    # ------------------------------------------------------------------
-    def evolve(self, circuit: QuantumCircuit) -> np.ndarray:
-        """The final ``2^n x 2^n`` density matrix of ``circuit``.
-
-        Applies every unitary instruction followed by its calibrated noise
-        channel (and, in ``"damping"`` mode, idle damping on the acted
-        qubits).  Global decoherence and readout are classical post-processing
-        on the outcome distribution and are *not* part of this matrix.
-        """
-        if circuit.num_qubits > self.max_active_qubits:
-            raise SimulationError(
-                f"{circuit.num_qubits} qubits exceeds the density-matrix "
-                f"simulator limit ({self.max_active_qubits}); restrict to "
-                "active qubits first"
-            )
-        num_qubits = circuit.num_qubits
-        rho = zero_density(num_qubits)
-        noisy = self.noise_model is not None
-        damping = noisy and self.include_decoherence and self.decoherence == "damping"
-        unitaries = 0
-        channels = 0
-        for instruction in circuit.instructions:
-            if not instruction.gate.is_unitary:
-                continue
-            rho = apply_unitary_to_density(
-                rho, instruction.gate.matrix(), instruction.qubits, num_qubits
-            )
-            unitaries += 1
-            if noisy and self.include_gate_errors:
-                channel = self.noise_model.gate_channel(instruction)
-                if channel is not None:
-                    rho = apply_channel_to_density(
-                        rho, channel, instruction.qubits, num_qubits
-                    )
-                    channels += 1
-            if damping:
-                duration = self.calibration.gate_duration(
-                    instruction.name, instruction.qubits
-                )
-                idle = self.noise_model.idle_channel(duration)
-                if idle is not None:
-                    for qubit in instruction.qubits:
-                        rho = apply_channel_to_density(rho, idle, (qubit,), num_qubits)
-                        channels += 1
-        if obs.is_enabled():
-            obs.counter("sim.density.gate_applications").inc(unitaries)
-            obs.counter("sim.density.channel_applications").inc(channels)
-            obs.histogram("sim.density.peak_bytes").observe(float(rho.nbytes))
-            obs.add_attrs(
-                gate_applications=unitaries,
-                channel_applications=channels,
-                peak_bytes=rho.nbytes,
-            )
-        return rho.reshape(2**num_qubits, 2**num_qubits)
-
     def _exact_distribution(
         self,
         circuit: QuantumCircuit,
         measured_qubits: Optional[Sequence[int]],
     ) -> Tuple[np.ndarray, List[int]]:
         """The exact outcome distribution over the measured qubits, in order."""
-        reduced, measured_qubits, compact_measured = reduce_for_measurement(
-            circuit, measured_qubits
-        )
-        if reduced.num_qubits > self.max_active_qubits:
-            raise SimulationError(
-                f"{reduced.num_qubits} active qubits exceeds the density-matrix "
-                f"simulator limit ({self.max_active_qubits})"
-            )
-        # evolve() skips non-unitary instructions itself, so the reduced
-        # circuit needs no measure-stripping copy.
-        with obs.span(
-            "density.run", category="sim", source=circuit.name,
-            qubits=reduced.num_qubits,
-        ):
-            rho = self.evolve(reduced)
-            probabilities = density_diagonal(rho.reshape(-1), reduced.num_qubits)
-            distribution = marginal_distribution(
-                probabilities, reduced.num_qubits, compact_measured
-            )
-            distribution = finish_exact_distribution(
-                distribution, circuit, self, len(measured_qubits)
-            )
-        return distribution, measured_qubits
+        raise NotImplementedError
 
-    # ------------------------------------------------------------------
     def run_probabilities(
         self,
         circuit: QuantumCircuit,
@@ -303,6 +213,105 @@ class DensityMatrixSimulator:
             counts=counts, shots=shots, measured_qubits=tuple(measured_qubits)
         )
 
+
+class DensityMatrixSimulator(ExactSimulator):
+    """Exact open-system simulator: noise as channels, no shot sampling.
+
+    Args:
+        calibration: Device error model compiled into channels via
+            :class:`~repro.sim.channels.NoiseModel`; ``None`` simulates
+            noiselessly (then equal to the statevector distribution).
+        seed: Seed for the multinomial generator behind :meth:`run_counts`
+            (:meth:`run_probabilities` consumes no randomness).
+        include_gate_errors / include_decoherence / include_readout_error:
+            Toggles for the three noise contributions, mirroring the samplers.
+        decoherence: ``"global"`` (the samplers' whole-register failure,
+            default) or ``"damping"`` (per-qubit amplitude+phase damping per
+            gate duration).
+        max_active_qubits: Dense-density size limit; ``4**n`` amplitudes.
+    """
+
+    def evolve(self, circuit: QuantumCircuit) -> np.ndarray:
+        """The final ``2^n x 2^n`` density matrix of ``circuit``.
+
+        Applies every unitary instruction followed by its calibrated noise
+        channel (and, in ``"damping"`` mode, idle damping on the acted
+        qubits).  Global decoherence and readout are classical post-processing
+        on the outcome distribution and are *not* part of this matrix.
+        """
+        if circuit.num_qubits > self.max_active_qubits:
+            raise SimulationError(
+                f"{circuit.num_qubits} qubits exceeds the density-matrix "
+                f"simulator limit ({self.max_active_qubits}); restrict to "
+                "active qubits first"
+            )
+        identity = {q: q for q in range(circuit.num_qubits)}
+        return self._evolve(circuit, identity, circuit.num_qubits)
+
+    def _evolve(
+        self, circuit: QuantumCircuit, axes: Mapping[int, int], num_qubits: int
+    ) -> np.ndarray:
+        """:meth:`evolve` with physical qubit ``q`` on density wire ``axes[q]``.
+
+        Each instruction's noise is resolved on its physical qubits
+        (:func:`~repro.sim.channels.resolve_noise`) before it is mapped to
+        wires, so per-edge CNOT errors hit the couplers they belong to.
+        """
+        rho = zero_density(num_qubits)
+        damping = self.include_decoherence and self.decoherence == "damping"
+        unitaries = 0
+        channels = 0
+        for instruction, channel, idle in resolve_noise(
+            circuit, self.noise_model, self.include_gate_errors, damping
+        ):
+            wires = tuple(axes[q] for q in instruction.qubits)
+            rho = apply_unitary_to_density(
+                rho, instruction.gate.matrix(), wires, num_qubits
+            )
+            unitaries += 1
+            if channel is not None:
+                rho = apply_channel_to_density(rho, channel, wires, num_qubits)
+                channels += 1
+            if idle is not None:
+                for wire in wires:
+                    rho = apply_channel_to_density(rho, idle, (wire,), num_qubits)
+                    channels += 1
+        if obs.is_enabled():
+            obs.counter("sim.density.gate_applications").inc(unitaries)
+            obs.counter("sim.density.channel_applications").inc(channels)
+            obs.histogram("sim.density.peak_bytes").observe(float(rho.nbytes))
+            obs.add_attrs(
+                gate_applications=unitaries,
+                channel_applications=channels,
+                peak_bytes=rho.nbytes,
+            )
+        return rho.reshape(2**num_qubits, 2**num_qubits)
+
+    def _exact_distribution(
+        self,
+        circuit: QuantumCircuit,
+        measured_qubits: Optional[Sequence[int]],
+    ) -> Tuple[np.ndarray, List[int]]:
+        """The exact outcome distribution over the measured qubits, in order."""
+        measured_qubits, axes = measurement_axes(circuit, measured_qubits)
+        num_qubits = len(axes)
+        if num_qubits > self.max_active_qubits:
+            raise SimulationError(
+                f"{num_qubits} active qubits exceeds the density-matrix "
+                f"simulator limit ({self.max_active_qubits})"
+            )
+        with obs.span(
+            "density.run", category="sim", source=circuit.name, qubits=num_qubits,
+        ):
+            rho = self._evolve(circuit, axes, num_qubits)
+            probabilities = density_diagonal(rho.reshape(-1), num_qubits)
+            distribution = marginal_distribution(
+                probabilities, num_qubits, [axes[q] for q in measured_qubits]
+            )
+            distribution = finish_exact_distribution(
+                distribution, circuit, self, len(measured_qubits)
+            )
+        return distribution, measured_qubits
 
 def apply_confusion(
     distribution: np.ndarray, width: int, confusion: np.ndarray

@@ -42,6 +42,7 @@ from .result import NoisyResult, counts_from_bit_array
 from .statevector import (
     StatevectorSimulator,
     apply_matrix,
+    measurement_axes,
     reduce_for_measurement,
     zero_state,
 )
@@ -106,15 +107,19 @@ class PauliTrajectorySampler:
         """
         if shots < 1:
             raise SimulationError("shots must be positive")
-        reduced, measured_qubits, compact_measured = reduce_for_measurement(
-            circuit, measured_qubits
-        )
-        if reduced.num_qubits > self.max_active_qubits:
+        measured_qubits, axes = measurement_axes(circuit, measured_qubits)
+        if len(axes) > self.max_active_qubits:
             raise SimulationError(
-                f"{reduced.num_qubits} active qubits exceeds the trajectory "
+                f"{len(axes)} active qubits exceeds the trajectory "
                 f"sampler limit ({self.max_active_qubits})"
             )
-        gates = [inst for inst in reduced.instructions if inst.gate.is_unitary]
+        # Error weights are drawn on the physical qubits; the statevector
+        # runs on the compact axes.
+        gates = [inst for inst in circuit.instructions if inst.gate.is_unitary]
+        placed = [
+            (inst.gate.matrix(), tuple(axes[q] for q in inst.qubits)) for inst in gates
+        ]
+        compact_measured = [axes[q] for q in measured_qubits]
         duration = circuit_duration(circuit.without(["barrier"]), self.calibration)
         decoherence_failure = 0.0
         if self.include_decoherence:
@@ -122,7 +127,7 @@ class PauliTrajectorySampler:
                 duration
             )
 
-        num_qubits = reduced.num_qubits
+        num_qubits = len(axes)
         width = len(compact_measured)
         bits = np.zeros((shots, width), dtype=np.int8)
 
@@ -144,7 +149,7 @@ class PauliTrajectorySampler:
             for shot, pattern in zip(coherent, patterns):
                 groups.setdefault(pattern, []).append(int(shot))
             for pattern, members in groups.items():
-                probabilities = self._pattern_probabilities(gates, num_qubits, pattern)
+                probabilities = self._pattern_probabilities(placed, num_qubits, pattern)
                 indices = self.rng.choice(
                     probabilities.size, size=len(members), p=probabilities
                 )
@@ -208,20 +213,21 @@ class PauliTrajectorySampler:
 
     def _pattern_probabilities(
         self,
-        gates: Sequence[Instruction],
+        placed: Sequence[Tuple[np.ndarray, Tuple[int, ...]]],
         num_qubits: int,
         pattern: ErrorPattern,
     ) -> np.ndarray:
-        """Outcome distribution of one trajectory with the given error pattern."""
+        """Outcome distribution of one trajectory with the given error pattern.
+
+        ``placed`` holds each gate's matrix and its compact statevector axes.
+        """
         inserted = dict(pattern)
         state = zero_state(num_qubits)
-        for gate_index, instruction in enumerate(gates):
-            state = apply_matrix(
-                state, instruction.gate.matrix(), instruction.qubits, num_qubits
-            )
+        for gate_index, (matrix, wires) in enumerate(placed):
+            state = apply_matrix(state, matrix, wires, num_qubits)
             code = inserted.get(gate_index)
             if code:
-                state = self._apply_pauli_code(state, code, instruction.qubits, num_qubits)
+                state = self._apply_pauli_code(state, code, wires, num_qubits)
         probabilities = np.abs(state) ** 2
         return probabilities / probabilities.sum()
 

@@ -12,11 +12,13 @@ coefficient real, so every operation is one real matrix contraction:
   density backend's two complex applies;
 * a noise channel is its cached PTM
   (:meth:`~repro.sim.channels.QuantumChannel.ptm`), derived once per
-  calibration from the cached superoperator by the Pauli basis change;
+  process from the cached superoperator by the Pauli basis change (the
+  channels live in the process-wide table of :mod:`repro.sim.channels`);
 * composition is matrix product, so the **fusion layer**
   (:func:`fuse_ptm_ops`) collapses runs of same-wire one-qubit
-  gates/channels into one 4x4 PTM and absorbs pending 1q PTMs plus each
-  gate's own noise channel into a single ``4^k x 4^k`` contraction.
+  gates/channels into one 4x4 PTM, absorbs pending 1q PTMs plus each
+  gate's own noise channel into a single ``4^k x 4^k`` contraction, and
+  merges consecutive ops on one qubit pair in either order.
 
 The live set
 ------------
@@ -49,8 +51,11 @@ straight off the live tensor in the requested order.  :meth:`evolve` keeps
 every qubit and returns the full ``4^n`` vector in qubit order (qubit 0 the
 most significant base-4 digit; I=0, X=1, Y=2, Z=3).
 
-Noise semantics are identical to the density backend — the same per-gate
-channels from :class:`~repro.sim.channels.NoiseModel`, the same
+The engine runs on the circuit as given: qubits keep their physical labels
+(the live set tracks any labels), so there is no rebuild onto compact
+indices, and each instruction's noise is resolved on the couplers it really
+uses.  Noise semantics are identical to the density backend — the same
+per-gate channels from :func:`~repro.sim.channels.resolve_noise`, the same
 ``"global"``/``"damping"`` decoherence modes, and the very same classical
 tail (:func:`repro.sim.density.finish_exact_distribution`) — so ``"ptm"``
 and ``"density"`` agree to floating-point accuracy and the experiment
@@ -68,10 +73,9 @@ from .. import obs
 from ..circuits.circuit import QuantumCircuit
 from ..exceptions import SimulationError
 from ..hardware.calibration import DeviceCalibration
-from .channels import NoiseModel, unitary_ptm
-from .density import finish_exact_distribution
-from .result import NoisyResult
-from .statevector import apply_matrix, reduce_for_measurement
+from .channels import resolve_noise, unitary_ptm
+from .density import ExactSimulator, finish_exact_distribution
+from .statevector import apply_matrix, measurement_axes
 
 #: Identity PTM on one qubit — the fusion accumulator's seed.
 _IDENTITY_PTM = np.eye(4)
@@ -161,7 +165,10 @@ def fuse_ptm_ops(ops: Sequence[PtmOp]) -> List[PtmOp]:
       that op's PTM (one kron, zero extra state sweeps);
     * consecutive multi-qubit ops on the *same* qubit tuple — a CNOT and
       its depolarizing channel, back-to-back CNOT pairs — multiply into one
-      ``4^k x 4^k`` PTM.
+      ``4^k x 4^k`` PTM; so do consecutive two-qubit ops on the same pair
+      in either order (the predecessor's 16x16 PTM is permuted onto the
+      later op's qubit order first), which turns a SWAP's
+      ``cx(a, b) cx(b, a) cx(a, b)`` into one contraction.
 
     Returns the fused op list in application order.
     """
@@ -180,6 +187,11 @@ def fuse_ptm_ops(ops: Sequence[PtmOp]) -> List[PtmOp]:
             ptm = ptm @ absorbed
         if fused and fused[-1][0] == qubits:
             fused[-1] = (qubits, ptm @ fused[-1][1])
+        elif fused and len(qubits) == 2 and fused[-1][0] == qubits[::-1]:
+            # The same pair in the other order: relabel the predecessor's
+            # axes (a', b', a, b) -> (b', a', b, a) onto this op's order.
+            swapped = fused[-1][1].reshape(4, 4, 4, 4).transpose(1, 0, 3, 2)
+            fused[-1] = (qubits, ptm @ swapped.reshape(16, 16))
         else:
             fused.append((qubits, ptm))
     fused.extend(((qubit,), ptm) for qubit, ptm in pending.items())
@@ -252,7 +264,7 @@ def _ordered(state: np.ndarray, axes: List[int], qubits: Sequence[int]) -> np.nd
     return state.transpose([axes.index(q) for q in qubits])
 
 
-class PauliTransferMatrixSimulator:
+class PauliTransferMatrixSimulator(ExactSimulator):
     """Exact open-system simulator evolving a real Pauli vector.
 
     A drop-in peer of :class:`~repro.sim.density.DensityMatrixSimulator`
@@ -264,16 +276,10 @@ class PauliTransferMatrixSimulator:
     noisy workloads.
 
     Args:
-        calibration: Device error model compiled into channels via
-            :class:`~repro.sim.channels.NoiseModel`; ``None`` simulates
-            noiselessly.
-        seed: Seed for the multinomial generator behind :meth:`run_counts`.
-        include_gate_errors / include_decoherence / include_readout_error:
-            Toggles for the three noise contributions, mirroring the other
-            backends.
-        decoherence: ``"global"`` (the samplers' whole-register failure,
-            default) or ``"damping"`` (per-qubit amplitude+phase damping per
-            gate duration) — identical semantics to the density backend.
+        calibration / seed / include_gate_errors / include_decoherence /
+        include_readout_error / decoherence: As for
+            :class:`~repro.sim.density.DensityMatrixSimulator`, with
+            identical semantics.
         max_active_qubits: Limit on the active-plus-measured qubit count.
             The live tensor is never wider, and at ``4**n`` *real* values the
             default 12 costs at most the memory the density backend's default
@@ -293,19 +299,10 @@ class PauliTransferMatrixSimulator:
         max_active_qubits: int = 12,
         fuse: bool = True,
     ) -> None:
-        if decoherence not in ("global", "damping"):
-            raise SimulationError(
-                f"unknown decoherence mode {decoherence!r}; "
-                "expected 'global' or 'damping'"
-            )
-        self.calibration = calibration
-        self.noise_model = NoiseModel(calibration) if calibration is not None else None
-        self.rng = np.random.default_rng(seed)
-        self.include_gate_errors = include_gate_errors
-        self.include_decoherence = include_decoherence
-        self.include_readout_error = include_readout_error
-        self.decoherence = decoherence
-        self.max_active_qubits = max_active_qubits
+        super().__init__(
+            calibration, seed, include_gate_errors, include_decoherence,
+            include_readout_error, decoherence, max_active_qubits,
+        )
         self.fuse = fuse
 
     # ------------------------------------------------------------------
@@ -319,25 +316,17 @@ class PauliTransferMatrixSimulator:
         applies, expressed as real matrices.
         """
         ops: List[PtmOp] = []
-        noisy = self.noise_model is not None
-        damping = noisy and self.include_decoherence and self.decoherence == "damping"
-        for instruction in circuit.instructions:
-            if not instruction.gate.is_unitary:
-                continue
-            qubits = tuple(instruction.qubits)
+        damping = self.include_decoherence and self.decoherence == "damping"
+        for instruction, channel, idle in resolve_noise(
+            circuit, self.noise_model, self.include_gate_errors, damping
+        ):
+            qubits = instruction.qubits
             ops.append((qubits, unitary_ptm(instruction.gate.matrix())))
-            if noisy and self.include_gate_errors:
-                channel = self.noise_model.gate_channel(instruction)
-                if channel is not None:
-                    ops.append((qubits, channel.ptm()))
-            if damping:
-                duration = self.calibration.gate_duration(
-                    instruction.name, instruction.qubits
-                )
-                idle = self.noise_model.idle_channel(duration)
-                if idle is not None:
-                    idle_ptm = idle.ptm()
-                    ops.extend(((qubit,), idle_ptm) for qubit in qubits)
+            if channel is not None:
+                ops.append((qubits, channel.ptm()))
+            if idle is not None:
+                idle_ptm = idle.ptm()
+                ops.extend(((qubit,), idle_ptm) for qubit in qubits)
         return ops
 
     def _evolve(
@@ -385,95 +374,27 @@ class PauliTransferMatrixSimulator:
         measured_qubits: Optional[Sequence[int]],
     ) -> Tuple[np.ndarray, List[int]]:
         """The exact outcome distribution over the measured qubits, in order."""
-        reduced, measured_qubits, compact_measured = reduce_for_measurement(
-            circuit, measured_qubits
-        )
-        if reduced.num_qubits > self.max_active_qubits:
+        # The live set tracks any qubit labels, so the circuit is evolved as
+        # given, its noise resolved on the physical couplers.
+        measured_qubits, axes = measurement_axes(circuit, measured_qubits)
+        if len(axes) > self.max_active_qubits:
             raise SimulationError(
-                f"{reduced.num_qubits} active qubits exceeds the PTM "
+                f"{len(axes)} active qubits exceeds the PTM "
                 f"simulator limit ({self.max_active_qubits})"
             )
-        if len(set(compact_measured)) != len(compact_measured):
+        if len(set(measured_qubits)) != len(measured_qubits):
             raise SimulationError(
-                f"duplicate qubits in marginal request: {compact_measured}"
+                f"duplicate qubits in marginal request: {measured_qubits}"
             )
         with obs.span(
             "ptm.run", category="sim", source=circuit.name,
-            qubits=reduced.num_qubits, fuse=self.fuse,
+            qubits=len(axes), fuse=self.fuse,
         ):
-            state, axes = self._evolve(reduced, compact_measured)
+            state, live = self._evolve(circuit, measured_qubits)
             distribution = pauli_probabilities(
-                _ordered(state, axes, compact_measured), len(compact_measured)
+                _ordered(state, live, measured_qubits), len(measured_qubits)
             )
             distribution = finish_exact_distribution(
                 distribution, circuit, self, len(measured_qubits)
             )
         return distribution, measured_qubits
-
-    # ------------------------------------------------------------------
-    def run_probabilities(
-        self,
-        circuit: QuantumCircuit,
-        measured_qubits: Optional[Sequence[int]] = None,
-    ) -> Dict[str, float]:
-        """The exact outcome distribution — the shot-free figure of merit.
-
-        Same contract as
-        :meth:`~repro.sim.density.DensityMatrixSimulator.run_probabilities`
-        (the two backends agree to floating-point accuracy): a ``{bitstring:
-        probability}`` mapping over the measured qubits with the shared
-        ``1e-15`` floor, leftmost character = first measured qubit.
-        """
-        distribution, measured_qubits = self._exact_distribution(
-            circuit, measured_qubits
-        )
-        width = len(measured_qubits)
-        if width == 0:
-            return {"": 1.0}
-        return {
-            format(index, f"0{width}b"): float(probability)
-            for index, probability in enumerate(distribution)
-            if probability > 1e-15
-        }
-
-    def success_probability(
-        self,
-        circuit: QuantumCircuit,
-        expected: str,
-        measured_qubits: Optional[Sequence[int]] = None,
-    ) -> float:
-        """Exact probability of reading ``expected`` — zero shot variance."""
-        return self.run_probabilities(circuit, measured_qubits).get(expected, 0.0)
-
-    def run_counts(
-        self,
-        circuit: QuantumCircuit,
-        shots: int = 1024,
-        measured_qubits: Optional[Sequence[int]] = None,
-        seed: Optional[int] = None,
-    ) -> NoisyResult:
-        """:class:`~repro.sim.SimulationBackend` entry point.
-
-        One multinomial draw from the exact distribution, like the density
-        backend; a non-``None`` ``seed`` reseeds the generator so repeated
-        calls are reproducible.
-        """
-        if shots < 1:
-            raise SimulationError("shots must be positive")
-        if seed is not None:
-            self.rng = np.random.default_rng(seed)
-        distribution, measured_qubits = self._exact_distribution(
-            circuit, measured_qubits
-        )
-        width = len(measured_qubits)
-        if width == 0:
-            return NoisyResult(counts={"": shots}, shots=shots, measured_qubits=())
-        draws = self.rng.multinomial(shots, distribution / distribution.sum())
-        counts = {
-            format(index, f"0{width}b"): int(tally)
-            for index, tally in enumerate(draws)
-            if tally
-        }
-        return NoisyResult(
-            counts=counts, shots=shots, measured_qubits=tuple(measured_qubits)
-        )

@@ -89,11 +89,8 @@ def reduce_to_active_qubits(
     Returns the reduced circuit and the map from original qubit index to the
     compact index used inside the reduced circuit.
     """
-    active = sorted(circuit.active_qubits() | set(extra_qubits))
-    if not active:
-        active = [0]
-    mapping = {original: compact for compact, original in enumerate(active)}
-    reduced = QuantumCircuit(len(active), circuit.name)
+    _, mapping = measurement_axes(circuit, extra_qubits)
+    reduced = QuantumCircuit(len(mapping), circuit.name)
     for instruction in circuit.instructions:
         if instruction.name == "barrier":
             continue
@@ -114,20 +111,34 @@ def measured_qubits_of(circuit: QuantumCircuit) -> List[int]:
     return seen
 
 
-def reduce_for_measurement(
+def measurement_axes(
     circuit: QuantumCircuit, measured_qubits: Optional[Sequence[int]] = None
-) -> Tuple[QuantumCircuit, List[int], List[int]]:
-    """The shared execution prologue of every backend.
+) -> Tuple[List[int], Dict[int, int]]:
+    """The execution prologue every backend shares, without a rebuild.
 
     Defaults ``measured_qubits`` (the circuit's ``measure`` instructions, or
-    all active qubits), restricts the circuit to its active wires, and remaps
-    the measured qubits into the reduced circuit's compact indexing.
+    all active qubits) and maps every active or measured qubit to a compact
+    axis, in qubit order.  Backends that resolve noise per instruction use
+    this directly: they look up each error on the physical qubits and only
+    then map them to axes.
 
-    Returns ``(reduced, measured_qubits, compact_measured)``.
+    Returns ``(measured_qubits, axes)``.
     """
     if measured_qubits is None:
         measured_qubits = measured_qubits_of(circuit) or sorted(circuit.active_qubits())
     measured_qubits = list(measured_qubits)
+    active = sorted(circuit.active_qubits() | set(measured_qubits)) or [0]
+    return measured_qubits, {original: axis for axis, original in enumerate(active)}
+
+
+def reduce_for_measurement(
+    circuit: QuantumCircuit, measured_qubits: Optional[Sequence[int]] = None
+) -> Tuple[QuantumCircuit, List[int], List[int]]:
+    """:func:`measurement_axes` plus the circuit rebuilt on the compact axes.
+
+    Returns ``(reduced, measured_qubits, compact_measured)``.
+    """
+    measured_qubits, _ = measurement_axes(circuit, measured_qubits)
     reduced, mapping = reduce_to_active_qubits(circuit, measured_qubits)
     return reduced, measured_qubits, [mapping[q] for q in measured_qubits]
 

@@ -252,3 +252,97 @@ def test_sampler_error_weights_come_from_the_channel_layer(hardware_calibration)
         assert sampler._error_probability(instruction) == gate_error_probability(
             hardware_calibration, instruction
         )
+
+
+# ----------------------------------------------------------------------
+# Noise addressed by physical qubit, from one process-wide channel table
+# ----------------------------------------------------------------------
+def excite_and_entangle() -> QuantumCircuit:
+    """``x(5); cx(5, 6)`` on a 20-qubit register: p(11) is the CNOT's success."""
+    circuit = QuantumCircuit(20)
+    circuit.x(5).cx(5, 6)
+    return circuit
+
+
+def p11(backend_name: str, calibration) -> float:
+    from repro.sim import get_backend
+
+    backend = get_backend(backend_name, calibration, seed=5)
+    if backend_name == "trajectory":
+        counts = backend.run_counts(excite_and_entangle(), 4000, measured_qubits=[5, 6])
+        return counts.success_rate("11")
+    probabilities = backend.run_probabilities(excite_and_entangle(), measured_qubits=[5, 6])
+    return probabilities["11"]
+
+
+@pytest.mark.parametrize("backend_name", ["density", "ptm", "trajectory"])
+def test_edge_errors_follow_the_physical_coupler(backend_name):
+    # The circuit uses coupler (5, 6).  Once reduced to its two active
+    # qubits those are compact indices (0, 1): an engine that looked the
+    # error up after renaming would charge (0, 1)'s rate instead.
+    base = johannesburg_aug19_2020()
+    plain = p11(backend_name, base)
+    on_coupler = p11(backend_name, base.with_edge_errors({(5, 6): 0.5}))
+    elsewhere = p11(backend_name, base.with_edge_errors({(0, 1): 0.5}))
+    assert plain - on_coupler > 0.25
+    if backend_name == "trajectory":
+        assert elsewhere == plain  # same rates, same seed: the same draws
+    else:
+        assert abs(elsewhere - plain) < 1e-12
+
+
+class TestChannelTable:
+    def test_fresh_backends_share_one_ptm(self, hardware_calibration):
+        from repro.sim import get_backend
+
+        circuit = QuantumCircuit(3)
+        circuit.cx(0, 1).h(2)
+        first = get_backend("ptm", hardware_calibration).circuit_ops(circuit)
+        second = get_backend("ptm", hardware_calibration).circuit_ops(circuit)
+        assert len(first) == len(second) == 4
+        for (_, a), (_, b) in zip(first, second):
+            assert a is b
+
+    def test_equal_rates_share_a_channel_across_calibrations(self, hardware_calibration):
+        from dataclasses import replace
+
+        circuit = QuantumCircuit(2)
+        circuit.cx(0, 1)
+        renamed = replace(hardware_calibration, name="same-rates")
+        assert NoiseModel(hardware_calibration).gate_channel(
+            circuit.instructions[0]
+        ) is NoiseModel(renamed).gate_channel(circuit.instructions[0])
+
+    def test_idle_channels_key_on_damping_not_duration(self, hardware_calibration):
+        from dataclasses import replace
+
+        from repro.sim import get_backend
+
+        shorter_t1 = replace(hardware_calibration, t1=hardware_calibration.t1 / 2)
+        first = NoiseModel(hardware_calibration).idle_channel(0.559)
+        second = NoiseModel(shorter_t1).idle_channel(0.559)
+        assert first is not second
+        assert np.abs(first.ptm() - second.ptm()).max() > 1e-4
+        # And the engines see the difference: T1 decay lowers p(1).
+        circuit = QuantumCircuit(2)
+        circuit.x(0).cx(0, 1)
+        p = [
+            get_backend("ptm", cal, decoherence="damping").run_probabilities(
+                circuit, measured_qubits=[0]
+            )["1"]
+            for cal in (hardware_calibration, shorter_t1)
+        ]
+        assert p[1] < p[0]
+
+    def test_table_stays_bounded(self, hardware_calibration, monkeypatch):
+        from repro.sim import channels
+
+        monkeypatch.setattr(channels, "_CHANNEL_TABLE", {})
+        monkeypatch.setattr(channels, "_CHANNEL_TABLE_LIMIT", 3)
+        model = NoiseModel(hardware_calibration)
+        sizes = []
+        for step in range(1, 11):
+            assert_cptp(model.idle_channel(0.1 * step))
+            sizes.append(len(channels._CHANNEL_TABLE))
+        assert max(sizes) <= 3
+        assert model.idle_channel(1.0) is model.idle_channel(1.0)

@@ -60,6 +60,7 @@ from repro.sim.statevector import (
     apply_matrix,
     marginal_distribution,
     reduce_for_measurement,
+    reduce_to_active_qubits,
 )
 from tests.test_density import SMALL_TRIPLETS, toffoli_workload
 
@@ -355,6 +356,43 @@ class TestFusion:
         for key in without:
             assert abs(with_fusion[key] - without[key]) < 1e-12
 
+    def test_reversed_pair_merges_into_its_predecessor(self):
+        # cx(1, 0) written on the (0, 1) axes is the CNOT controlled by the
+        # second qubit; the merged op must equal that product.
+        cx = np.array(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+        )
+        reversed_cx = np.array(
+            [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
+        )
+        z = unitary_ptm(pauli_matrix("Z"))
+        fused = fuse_ptm_ops(
+            [((1, 0), unitary_ptm(cx)), ((0, 1), unitary_ptm(cx)), ((0,), z)]
+        )
+        assert [qubits for qubits, _ in fused] == [(0, 1), (0,)]
+        expected = unitary_ptm(cx) @ unitary_ptm(reversed_cx)
+        assert np.abs(fused[0][1] - expected).max() < 1e-15
+
+    @pytest.mark.parametrize("decoherence", ["global", "damping"])
+    def test_noisy_swap_triple_fuses_to_one_op(self, decoherence):
+        circuit = QuantumCircuit(8)
+        circuit.x(6).cx(6, 7).cx(7, 6).cx(6, 7)
+        calibration = johannesburg_aug19_2020().with_edge_errors({(6, 7): 0.03})
+        fused_sim = PauliTransferMatrixSimulator(calibration, decoherence=decoherence)
+        ops = fused_sim.circuit_ops(circuit)
+        assert len(ops) >= 8  # four gates, each followed by its noise channel
+        # One contraction for the whole SWAP; "damping" leaves each wire's
+        # trailing idle channel as a 1q op.
+        fused_ops = fuse_ptm_ops(ops)
+        assert [qubits for qubits, _ in fused_ops if len(qubits) > 1] == [(6, 7)]
+        assert len(fused_ops) == (1 if decoherence == "global" else 3)
+        unfused = PauliTransferMatrixSimulator(
+            calibration, decoherence=decoherence, fuse=False
+        ).run_probabilities(circuit, measured_qubits=[6, 7])
+        fused = fused_sim.run_probabilities(circuit, measured_qubits=[6, 7])
+        assert worst_gap(fused, unfused) < 1e-12
+        assert fused["01"] > 0.8  # the SWAP moved the excitation from 6 to 7
+
     def test_fusion_reduces_contraction_count(self):
         simulator = PauliTransferMatrixSimulator(johannesburg_aug19_2020())
         ops = simulator.circuit_ops(toffoli_workload())
@@ -422,6 +460,55 @@ class TestEngineExactness:
                 assert tvd < 1e-9
                 checked += 1
         assert checked == len(SMALL_TRIPLETS) * len(CONFIGURATIONS)
+
+    @pytest.mark.parametrize("decoherence", ["global", "damping"])
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_matches_density_under_per_edge_calibration(self, fuse, decoherence):
+        # Every Johannesburg coupler gets its own seeded CNOT error.  The
+        # oracle relabels the *calibration* onto the compact indices of the
+        # reduced circuit, so an engine that looked errors up on renamed
+        # qubits instead of physical ones would disagree with it.
+        coupling_map = johannesburg()
+        rng = np.random.default_rng(20210419)
+        uniform = johannesburg_aug19_2020()
+        edge_errors = {
+            edge: float(rng.uniform(0.002, 0.08)) for edge in coupling_map.edges
+        }
+        calibration = uniform.with_edge_errors(edge_errors)
+        density_sim = DensityMatrixSimulator(calibration, decoherence=decoherence)
+        ptm_sim = PauliTransferMatrixSimulator(
+            calibration, decoherence=decoherence, fuse=fuse
+        )
+        uniform_sim = PauliTransferMatrixSimulator(uniform, decoherence=decoherence)
+        for triplet in SMALL_TRIPLETS:
+            placement = dict(enumerate(triplet))
+            for configuration in CONFIGURATIONS:
+                compiled = compile_configuration(
+                    configuration, coupling_map, placement, seed=7
+                )
+                circuit = compiled.circuit.without(["measure"])
+                measured = compiled.physical_qubits_of([0, 1, 2])
+                ptm = ptm_sim.run_probabilities(circuit, measured_qubits=measured)
+                density = density_sim.run_probabilities(
+                    circuit, measured_qubits=measured
+                )
+                assert worst_gap(density, ptm) < 1e-9, (triplet, configuration)
+                reduced, mapping = reduce_to_active_qubits(circuit, measured)
+                relabelled = uniform.with_edge_errors({
+                    (mapping[a], mapping[b]): error
+                    for (a, b), error in edge_errors.items()
+                    if a in mapping and b in mapping
+                })
+                oracle = DensityMatrixSimulator(
+                    relabelled, decoherence=decoherence
+                ).run_probabilities(
+                    reduced, measured_qubits=[mapping[q] for q in measured]
+                )
+                assert worst_gap(oracle, ptm) < 1e-9, (triplet, configuration)
+                baseline = uniform_sim.run_probabilities(
+                    circuit, measured_qubits=measured
+                )
+                assert abs(ptm["111"] - baseline["111"]) > 1e-4
 
     def test_success_probability_and_counts(self):
         calibration = johannesburg_aug19_2020()

@@ -41,8 +41,9 @@ from repro.exceptions import (
 from repro.experiments.benchmarks import (
     clear_compile_cache,
     compile_benchmark_cached,
+    compile_result_size,
 )
-from repro.experiments.toffoli import compile_configuration
+from repro.experiments.toffoli import compile_configuration, toffoli_test_circuit
 from repro.hardware.library import by_name
 from repro.hardware.topology import CouplingMap
 from repro.runtime import Fault, FaultPlan, FailurePolicy
@@ -433,6 +434,32 @@ class TestDriverCache:
             "Trios (8-CNOT Toffoli)", coupling_map, placement, seed=1
         )
         assert canonical_bytes(routed.circuit) == canonical_bytes(legacy.circuit)
+
+    @pytest.mark.parametrize("cell", ["cuccaro_adder-20", "toffoli (2, 6, 10)"])
+    def test_structural_charge_tracks_retained_bytes(self, cell):
+        # The drivers' cache charges a structural estimate instead of a
+        # pickled size; it must stay within 2x of what an entry really holds.
+        device = by_name("ibmq-johannesburg")
+        if cell == "cuccaro_adder-20":
+            job = CompileJob.from_circuit(get_benchmark(cell), device, "trios", seed=0)
+        else:
+            job = CompileJob.from_circuit(
+                toffoli_test_circuit(), device, "baseline",
+                layout={0: 2, 1: 6, 2: 10}, seed=7,
+            )
+        execute = jobs_module.execute_compile_job
+        execute(job)  # warm the process-wide memo tables first
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = execute(job)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        charge = compile_result_size(job.key, result)
+        assert retained / 2 <= charge <= 2 * retained, (charge, retained)
 
     def test_unbounded_growth_is_gone(self):
         # The regression that motivated the PR: the driver cache must expose
