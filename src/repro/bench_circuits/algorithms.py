@@ -164,7 +164,7 @@ def incrementer_borrowedbit(num_bits: int = 4) -> QuantumCircuit:
 
     ``num_bits=4`` gives the 5-qubit Table 1 instance
     ``incrementer_borrowedbit-5``.  (The paper's Gidney construction uses more
-    Toffolis for the same function; see EXPERIMENTS.md for the comparison.)
+    Toffolis for the same function.)
     """
     if num_bits < 2:
         raise BenchmarkError("the incrementer needs at least 2 bits")

@@ -12,8 +12,7 @@ Four variants, following the references cited by the paper:
 * :func:`cnx_inplace` — a no-ancilla construction.  The paper uses Gidney's
   iterated construction (54 Toffolis for 3 controls); we substitute Barenco's
   Lemma 7.5 recursion with controlled roots of X, which is exact, uses zero
-  ancillas and keeps the benchmark a Toffoli-containing 4-qubit circuit (the
-  substitution is recorded in DESIGN.md/EXPERIMENTS.md).
+  ancillas and keeps the benchmark a Toffoli-containing 4-qubit circuit.
 
 All builders return a fresh :class:`~repro.circuits.circuit.QuantumCircuit`
 whose semantic is "flip the last qubit iff every control qubit is 1"; the
@@ -228,7 +227,7 @@ def cnx_inplace(num_controls: int = 3) -> QuantumCircuit:
     The Table 1 instance ``cnx_inplace-4`` is ``num_controls=3``.  The paper
     uses Gidney's iterated construction (54 Toffolis); we substitute the
     Barenco no-ancilla recursion, which is exact but smaller (2 Toffolis plus
-    controlled phase rotations for 3 controls) — see EXPERIMENTS.md.
+    controlled phase rotations for 3 controls).
     """
     if num_controls < 2:
         raise BenchmarkError("cnx_inplace needs at least 2 controls")

@@ -2,8 +2,9 @@
 
 :data:`PAPER_BENCHMARKS` maps the paper's benchmark labels to zero-argument
 builders producing the same instances (qubit counts match Table 1 exactly;
-Toffoli/CNOT counts are recorded next to the paper's numbers in
-EXPERIMENTS.md).  :func:`benchmark_statistics` reproduces the Table 1 columns.
+Toffoli/CNOT counts can differ where a builder substitutes a construction,
+see :data:`PAPER_TABLE1`).  :func:`benchmark_statistics` reproduces the
+Table 1 columns.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ TOFFOLI_BENCHMARKS = (
 TOFFOLI_FREE_BENCHMARKS = ("qft_adder-16", "bv-20", "qaoa_complete-10")
 
 #: Qubit / Toffoli / CNOT numbers exactly as printed in Table 1 of the paper,
-#: for side-by-side comparison in EXPERIMENTS.md.
+#: for side-by-side comparison with :func:`benchmark_statistics`.
 PAPER_TABLE1 = {
     "cnx_dirty-11": {"qubits": 11, "toffolis": 16, "cnots": 128},
     "cnx_halfborrowed-19": {"qubits": 19, "toffolis": 32, "cnots": 256},

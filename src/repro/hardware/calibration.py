@@ -7,8 +7,7 @@ average T1 = 70.87 µs, T2 = 72.72 µs, two-qubit gate time 0.559 µs with error
 
 The paper does not quote readout error or duration explicitly, only that
 measurement error is "on the same order of magnitude as CNOT gates"; we use
-0.02 error and 3.5 µs duration, typical of the 2020 IBM fleet, and record this
-substitution in DESIGN.md.
+0.02 error and 3.5 µs duration, typical of the 2020 IBM fleet.
 
 All times are in microseconds.
 """

@@ -42,10 +42,6 @@ from .commutation import (
     CommutationAnalysisPass,
     CommutationSets,
     CommutativeCancellationPass,
-    clear_commutation_cache,
-    commutation_cache_size,
-    gates_commute,
-    instructions_commute,
 )
 from .scheduling import Schedule, ScheduledInstruction, asap_schedule, ASAPSchedulePass
 
@@ -87,10 +83,6 @@ __all__ = [
     "CommutationAnalysisPass",
     "CommutationSets",
     "CommutativeCancellationPass",
-    "clear_commutation_cache",
-    "commutation_cache_size",
-    "gates_commute",
-    "instructions_commute",
     "Schedule",
     "ScheduledInstruction",
     "asap_schedule",

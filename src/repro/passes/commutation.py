@@ -6,10 +6,14 @@ of CNOT pairs separated by *commuting* gates — diagonals on the control wire,
 X-rotations on the target wire — that the paper's late Toffoli decomposition
 exposes (§5.2 follow-ons).  This module cancels through them:
 
-* :func:`gates_commute` decides whether two gates commute by comparing the two
-  products of their matrices on the union of their wires.  Results are
-  memoized per (gate, gate, relative-placement) triple, so the matrix algebra
-  runs once per distinct gate pair, not once per circuit site.
+* Commutation is read from :data:`_WIRE_AXES`, which lists for each wire of
+  a gate the axes (``z``, ``x``, ``y``, ``h``) it is diagonal in there.  Two
+  instructions commute when their wires are disjoint, when they are the same
+  gate on the same qubits, or when their axes meet on every shared wire:
+  both operators are then block-diagonal in that wire's basis.  No matrix is
+  built and no tolerance applies, so a tiny rotation never passes for a
+  commuting one; the only commutations the rule misses need the exchange
+  symmetry of ``swap``/``cswap``.
 * :class:`CommutationAnalysisPass` is an :class:`~repro.passes.base.AnalysisPass`
   that walks every wire of the table and groups consecutive instructions
   into maximal *commutation runs* — spans in which every pair of instructions
@@ -30,10 +34,9 @@ wires commute trivially — so ``a`` can be displaced until it is adjacent to
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.circuit import Instruction, QuantumCircuit
 from ..circuits.dag import DagCircuit
@@ -42,132 +45,107 @@ from ..exceptions import TranspilerError
 from .base import AnalysisPass, PropertySet, TransformationPass
 from .optimization import is_inverse_pair
 
-#: Memoized commutation verdicts keyed by (gate_a, placement_a, gate_b,
-#: placement_b) with placements expressed in canonical relative coordinates,
-#: so e.g. ``cx(2,7)`` vs ``rz(2)`` and ``cx(0,4)`` vs ``rz(0)`` share one
-#: entry.  Gates are frozen value objects, hence hashable.
-_COMMUTATION_CACHE: Dict[tuple, bool] = {}
+_TWO_PI = 2.0 * math.pi
 
-#: Cap on the memo above.  Parameterised gates (synthesised ``u3`` triples,
-#: random-angle rotations) can make effectively unique keys, so a long-lived
-#: process sweeping many circuits would otherwise grow the dict without
-#: bound.  On overflow the whole cache is dropped — the hot parameter-free
-#: entries rebuild in microseconds.
-_COMMUTATION_CACHE_LIMIT = 50_000
+#: Axis bits.  A wire's axes are a bit set; two gates commute on a shared
+#: wire when their sets intersect.
+_Z, _X, _Y, _H = 1, 2, 4, 8
 
-#: Rotation families merged by :class:`CommutativeCancellationPass`: gates in
-#: one family are (up to global phase) rotations about a shared axis, so their
-#: angles add.  Maps gate name → (family axis, angle contribution builder).
-_ROTATION_ANGLES: Dict[str, Tuple[str, float]] = {
-    # Z axis: diagonal phases; u1(theta) carries the angle exactly.
-    "rz": ("z", None),  # angle from params[0]
-    "u1": ("z", None),
-    "p": ("z", None),
-    "z": ("z", np.pi),
-    "s": ("z", np.pi / 2),
-    "sdg": ("z", -np.pi / 2),
-    "t": ("z", np.pi / 4),
-    "tdg": ("z", -np.pi / 4),
-    # X axis (up to global phase).
-    "rx": ("x", None),
-    "x": ("x", np.pi),
-    "sx": ("x", np.pi / 2),
-    "sxdg": ("x", -np.pi / 2),
-    # Y axis (up to global phase).
-    "ry": ("y", None),
-    "y": ("y", np.pi),
+#: The commutation table: a gate's axes on each of its wires, in qubit order.
+#: ``0`` on a wire means no axis (the gate commutes there only with itself);
+#: names not listed get ``0`` on every wire.  ``u2``/``u3`` are read from
+#: their parameters (:func:`_u_axes`) and ``id`` acts on no wire.
+_WIRE_AXES: Dict[str, Tuple[int, ...]] = {
+    **dict.fromkeys(("z", "s", "sdg", "t", "tdg", "rz", "u1", "p"), (_Z,)),
+    **dict.fromkeys(("x", "rx", "sx", "sxdg"), (_X,)),
+    **dict.fromkeys(("y", "ry"), (_Y,)),
+    "h": (_H,),
+    **dict.fromkeys(("cz", "cp", "crz", "rzz"), (_Z, _Z)),
+    "cx": (_Z, _X),
+    "cy": (_Z, _Y),
+    "ch": (_Z, _H),
+    "swap": (0, 0),
+    "ccx": (_Z, _Z, _X),
+    "ccz": (_Z, _Z, _Z),
+    "cswap": (_Z, 0, 0),
 }
 
-#: The gate emitted when a family's angles are merged, per axis.
-_ROTATION_SYNTH = {"z": "u1", "x": "rx", "y": "ry"}
+#: Rotations about their table axis whose angles add when merged (up to
+#: global phase): the angle each contributes, ``None`` for its first
+#: parameter.  One-qubit gates merge per axis, two-qubit ones per name.
+_ROTATION_ANGLES: Dict[str, Optional[float]] = {
+    **dict.fromkeys(("rz", "u1", "p", "rx", "ry", "cp", "rzz", "crz")),
+    **dict.fromkeys(("z", "x", "y"), math.pi),
+    **dict.fromkeys(("s", "sx"), math.pi / 2),
+    **dict.fromkeys(("sdg", "sxdg"), -math.pi / 2),
+    "t": math.pi / 4,
+    "tdg": -math.pi / 4,
+}
 
-_TWO_PI = 2.0 * np.pi
+#: The gate emitted when a one-qubit family's angles are merged, per axis.
+_ROTATION_SYNTH = {_Z: "u1", _X: "rx", _Y: "ry"}
 
-
-def clear_commutation_cache() -> None:
-    """Drop all memoized commutation verdicts (mainly for tests)."""
-    _COMMUTATION_CACHE.clear()
-
-
-def commutation_cache_size() -> int:
-    """Number of memoized (gate, gate, placement) verdicts."""
-    return len(_COMMUTATION_CACHE)
-
-
-def _relative_placement(
-    qubits_a: Sequence[int], qubits_b: Sequence[int]
-) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
-    """Canonical coordinates of two gates' qubits on the union of their wires."""
-    union: List[int] = []
-    for qubit in (*qubits_a, *qubits_b):
-        if qubit not in union:
-            union.append(qubit)
-    position = {qubit: index for index, qubit in enumerate(union)}
-    return (
-        tuple(position[q] for q in qubits_a),
-        tuple(position[q] for q in qubits_b),
-        len(union),
-    )
+#: A merged rotation within this angle of a full turn is dropped.
+_FULL_TURN_ATOL = 1e-12
 
 
-def _product_unitary(
-    first: Gate,
-    first_qubits: Sequence[int],
-    second: Gate,
-    second_qubits: Sequence[int],
-    num_qubits: int,
-) -> np.ndarray:
-    from ..sim.unitary import circuit_unitary
+def _u_axes(gate: Gate) -> int:
+    """Axes of ``u2``/``u3``, decided on the exact bits of the parameters.
 
-    circuit = QuantumCircuit(num_qubits)
-    circuit.append(first, first_qubits)
-    circuit.append(second, second_qubits)
-    return circuit_unitary(circuit)
-
-
-def gates_commute(
-    gate_a: Gate,
-    qubits_a: Sequence[int],
-    gate_b: Gate,
-    qubits_b: Sequence[int],
-    atol: float = 1e-10,
-) -> bool:
-    """Whether ``gate_a`` on ``qubits_a`` commutes with ``gate_b`` on ``qubits_b``.
-
-    Decided from the gate matrices — ``A·B`` and ``B·A`` are built on the
-    union of the wires and compared — so the answer is exact for every gate in
-    the library, including parameterised rotations, with no hand-maintained
-    commutation table to fall out of date.  Non-unitary operations (measure,
-    reset, barrier) commute with nothing.
-
-    Results are memoized by (gate, gate, relative placement); the matrices for
-    a pair seen before are never rebuilt.
+    ``u3(θ, φ, λ)`` is diagonal when ``θ == 0``, and an X rotation when
+    ``φ − λ ≡ π`` (mod 2π) and either ``θ == π`` or ``φ + λ ≡ 0``.
+    ``u2(φ, λ)`` is ``u3(π/2, φ, λ)``.
     """
-    if not gate_a.is_unitary or not gate_b.is_unitary:
-        return False
-    if not set(qubits_a) & set(qubits_b):
-        return True  # disjoint supports always commute
-    placement_a, placement_b, union_size = _relative_placement(qubits_a, qubits_b)
-    key = (gate_a, placement_a, gate_b, placement_b)
-    cached = _COMMUTATION_CACHE.get(key)
-    if cached is not None:
-        return cached
-    forward = _product_unitary(gate_a, placement_a, gate_b, placement_b, union_size)
-    backward = _product_unitary(gate_b, placement_b, gate_a, placement_a, union_size)
-    verdict = bool(np.allclose(forward, backward, atol=atol))
-    if len(_COMMUTATION_CACHE) >= _COMMUTATION_CACHE_LIMIT:
-        _COMMUTATION_CACHE.clear()
-    _COMMUTATION_CACHE[key] = verdict
-    # Commutation is symmetric; prime the mirrored key too.
-    _COMMUTATION_CACHE[(gate_b, placement_b, gate_a, placement_a)] = verdict
-    return verdict
+    if gate.name == "u2":
+        theta, (phi, lam) = math.pi / 2, gate.params
+    else:
+        theta, phi, lam = gate.params
+    axes = _Z if theta == 0.0 else 0
+    if (phi - lam) % _TWO_PI == math.pi and (
+        theta == math.pi or (phi + lam) % _TWO_PI == 0.0
+    ):
+        axes |= _X
+    return axes
 
 
-def instructions_commute(first: Instruction, second: Instruction) -> bool:
-    """Instruction-level convenience wrapper over :func:`gates_commute`."""
-    if first.clbits or second.clbits:
+def _wire_axes(instruction: Instruction) -> Optional[Dict[int, int]]:
+    """The instruction's axes keyed by wire; ``None`` if it commutes with nothing."""
+    gate = instruction.gate
+    if not gate.is_unitary or instruction.clbits:
+        return None
+    if gate.name == "id":
+        return {}
+    if gate.name in ("u2", "u3"):
+        axes: Tuple[int, ...] = (_u_axes(gate),)
+    else:
+        axes = _WIRE_AXES.get(gate.name, (0,) * gate.num_qubits)
+    return dict(zip(instruction.qubits, axes))
+
+
+def _commute(
+    first: Instruction,
+    first_axes: Optional[Dict[int, int]],
+    second: Instruction,
+    second_axes: Optional[Dict[int, int]],
+) -> bool:
+    """The table rule, on two instructions and their :func:`_wire_axes`."""
+    if first_axes is None or second_axes is None:
         return False
-    return gates_commute(first.gate, first.qubits, second.gate, second.qubits)
+    if first.gate == second.gate and first.qubits == second.qubits:
+        return True
+    for wire, axes in first_axes.items():
+        other = second_axes.get(wire)
+        if other is not None and not axes & other:
+            return False
+    return True
+
+
+def _is_full_turn(name: str, angle: float) -> bool:
+    """Whether the merged ``name(angle)`` is the identity up to global phase."""
+    # crz(2π) = diag(1, 1, −1, −1): its phase is conditional, so only 4π is.
+    period = 2.0 * _TWO_PI if name == "crz" else _TWO_PI
+    residue = angle % period
+    return min(residue, period - residue) <= _FULL_TURN_ATOL
 
 
 class CommutationSets:
@@ -218,7 +196,7 @@ class CommutationSets:
             "wires": len(self._runs_by_wire),
             "runs": len(run_lengths),
             "max_run": max(run_lengths, default=0),
-            "mean_run": float(np.mean(run_lengths)) if run_lengths else 0.0,
+            "mean_run": sum(run_lengths) / len(run_lengths) if run_lengths else 0.0,
         }
 
 
@@ -238,12 +216,13 @@ class CommutationAnalysisPass(AnalysisPass):
     def analyze(self, dag: DagCircuit, properties: PropertySet) -> None:
         sets = CommutationSets()
         instructions = dag.instructions
+        axes = [_wire_axes(instruction) for instruction in instructions]
         for wire in range(dag.num_qubits):
             run: List[int] = []
             for node in dag.wire(wire):
                 instruction = instructions[node]
-                extends_run = bool(run) and instruction.gate.is_unitary and all(
-                    instructions_commute(instructions[member], instruction)
+                extends_run = bool(run) and all(
+                    _commute(instructions[member], axes[member], instruction, axes[node])
                     for member in run
                 )
                 if extends_run:
@@ -274,13 +253,15 @@ class CommutativeCancellationPass(TransformationPass):
        (``rz``/``u1``/``p``/``z``/``s``/``sdg``/``t``/``tdg``), X-family
        (``rx``/``x``/``sx``/``sxdg``) and Y-family (``ry``/``y``) gates in one
        run add their angles into a single ``u1``/``rx``/``ry`` (global phase
-       aside), which is dropped entirely when the total is a multiple of 2π.
+       aside), which is dropped entirely when the total is within 1e-12 of
+       a multiple of 2π.
     3. **Two-qubit diagonal rotations merge** — surviving ``cp``/``rzz``/
        ``crz`` gates on the same qubit pair in the same run add their angles
        into one gate of the same kind, dropped when the merged gate is the
        identity (``cp`` at multiples of 2π; ``rzz`` at multiples of 2π up to
        global phase; a merged ``crz`` is only ever dropped at multiples of
-       4π — ``crz(2π) = diag(1, 1, −1, −1)`` is *not* the identity).
+       4π — ``crz(2π) = diag(1, 1, −1, −1)`` is *not* the identity).  Both
+       merges decide "full turn" on the angle, not on a matrix.
 
     The pass analyses its own input on entry and works on node indices: a
     working copy of the entries, where a merge writes its replacement into
@@ -357,16 +338,18 @@ class CommutativeCancellationPass(TransformationPass):
         flags: List[bool],
         dead: List[bool],
         members: List[int],
-        merged: Gate,
+        name: str,
+        angle: float,
     ) -> None:
-        """Kill ``members[1:]``; the anchor becomes ``merged``, or dies if it is the identity."""
+        """Kill ``members[1:]``; the anchor becomes ``name(angle)``, or dies on a full turn."""
         anchor = members[0]
         for node in members[1:]:
             dead[node] = True
-        if merged.is_identity(tol=1e-12):
+        if _is_full_turn(name, angle):
             dead[anchor] = True
             return
-        work[anchor] = Instruction(merged, work[anchor].qubits)
+        qubits = work[anchor].qubits
+        work[anchor] = Instruction(Gate(name, len(qubits), (angle,)), qubits)
         flags[anchor] = False
 
     def _merge_rotations(
@@ -379,29 +362,26 @@ class CommutativeCancellationPass(TransformationPass):
         """Merge surviving same-axis 1q rotations within each commutation run."""
         for wire in sets.wires():
             for run in sets.runs(wire):
-                families: Dict[str, List[int]] = defaultdict(list)
+                families: Dict[int, List[int]] = defaultdict(list)
                 for node in run:
                     if dead[node]:
                         continue
                     instruction = work[node]
                     if instruction.gate.num_qubits != 1 or instruction.clbits:
                         continue
-                    family = _ROTATION_ANGLES.get(instruction.name)
-                    if family is not None:
-                        families[family[0]].append(node)
+                    if instruction.name in _ROTATION_ANGLES:
+                        families[_WIRE_AXES[instruction.name][0]].append(node)
                 for axis, members in families.items():
                     if len(members) < 2:
                         continue
                     total = 0.0
                     for node in members:
                         gate = work[node].gate
-                        _, fixed = _ROTATION_ANGLES[gate.name]
+                        fixed = _ROTATION_ANGLES[gate.name]
                         total += gate.params[0] if fixed is None else fixed
-                    merged = Gate(_ROTATION_SYNTH[axis], 1, (total,))
-                    self._merge_into_anchor(work, flags, dead, members, merged)
-
-    #: Two-qubit diagonal rotations whose angles add under composition.
-    _DIAGONAL_2Q = ("cp", "rzz", "crz")
+                    self._merge_into_anchor(
+                        work, flags, dead, members, _ROTATION_SYNTH[axis], total
+                    )
 
     def _merge_diagonal_pairs(
         self,
@@ -424,9 +404,9 @@ class CommutativeCancellationPass(TransformationPass):
         """
         groups: Dict[tuple, List[int]] = defaultdict(list)
         for node, instruction in enumerate(work):
-            if dead[node] or instruction.name not in self._DIAGONAL_2Q:
+            if dead[node] or instruction.gate.num_qubits != 2 or instruction.clbits:
                 continue
-            if instruction.clbits:
+            if instruction.name not in _ROTATION_ANGLES:
                 continue
             qubits = instruction.qubits
             groups[(instruction.name, qubits, sets.signature(node, qubits))].append(node)
@@ -436,9 +416,7 @@ class CommutativeCancellationPass(TransformationPass):
             total = 0.0
             for node in members:
                 total += work[node].gate.params[0]
-            self._merge_into_anchor(
-                work, flags, dead, members, Gate(name, 2, (float(total),))
-            )
+            self._merge_into_anchor(work, flags, dead, members, name, total)
 
     # ------------------------------------------------------------------
     def _verify(self, before: QuantumCircuit, after: QuantumCircuit) -> None:

@@ -8,7 +8,9 @@ Covers the PR's hard guarantees:
 * N identical concurrent requests trigger exactly one pool compile
   (coalescing);
 * cache hits are byte-identical to fresh compiles, pinned against the frozen
-  Fig 9/10 sha256 reference;
+  Fig 9/10 sha256 reference, over the 8-key Fig 9/10 mix as well as for one
+  key, with concurrent duplicates of every key costing one compile per key
+  and the ``service.request``/``service.batch`` spans recorded;
 * worker crashes injected via ``REPRO_FAULTS`` surface as structured errors
   to exactly the affected requests without taking the server down;
 * invalid options fail while the job is built, before any lookup or
@@ -31,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.bench_circuits.suite import get_benchmark
 from repro.circuits.qasm import from_qasm, to_qasm
 from repro.exceptions import (
@@ -796,6 +799,91 @@ class TestCompileService:
             }
         )
         assert request.options["layout"] == {0: 3, 1: 1}
+
+
+#: The Fig 9/10 service mix, keyed as in the frozen reference:
+#: 2 benchmarks x 2 topologies x 2 methods at seed 11.
+MIX_KEYS = [
+    (f"{topology}|{benchmark}|{method}", benchmark, topology, method)
+    for benchmark in ("cnx_inplace-4", "grovers-9")
+    for topology in ("line-20", "full-grid-5x4")
+    for method in ("baseline", "trios")
+]
+#: Concurrent submissions of every key in the duplicate phase.
+DUPLICATES = 6
+
+
+@pytest.fixture(scope="module")
+def mixed_stream():
+    """The mix through one traced service: cold, warm, then duplicates.
+
+    Cold and warm send every key once, in turn.  The duplicate phase clears
+    the cache and sends ``DUPLICATES`` copies of every key at once, so only
+    coalescing stands between them and the pool.
+    """
+    requests = {
+        key: CompileRequest(
+            qasm=to_qasm(get_benchmark(benchmark)), target=topology,
+            method=method, options={"seed": 11},
+        )
+        for key, benchmark, topology, method in MIX_KEYS
+    }
+
+    async def scenario():
+        service = CompileService(pool_jobs=2)
+        await service.start()
+        try:
+            cold = {key: await service.compile(r) for key, r in requests.items()}
+            warm = {key: await service.compile(r) for key, r in requests.items()}
+            service.cache.clear()
+            pool_before = service.stats.pool_compiles
+            duplicates = await asyncio.gather(*[
+                service.compile(request)
+                for request in requests.values() for _ in range(DUPLICATES)
+            ])
+            pool_compiles = service.stats.pool_compiles - pool_before
+        finally:
+            await service.stop()
+        return cold, warm, duplicates, pool_compiles
+
+    obs.disable()
+    obs.enable()
+    try:
+        cold, warm, duplicates, pool_compiles = asyncio.run(scenario())
+        span_names = [span.name for span in obs.trace_spans()]
+    finally:
+        obs.disable()
+    return {
+        "cold": cold, "warm": warm, "duplicates": duplicates,
+        "pool_compiles": pool_compiles, "span_names": span_names,
+    }
+
+
+class TestFigureMix:
+    def test_served_results_hash_to_the_frozen_reference(self, mixed_stream):
+        reference = json.loads(REFERENCE.read_text())["hashes"]
+        cold = mixed_stream["cold"]
+        assert sorted(cold) == sorted(key for key, *_ in MIX_KEYS)
+        for key, response in cold.items():
+            assert response.status == "miss"
+            assert circuit_digest(from_qasm(response.qasm)) == reference[key], key
+
+    def test_warm_hits_are_byte_equal_to_cold_results(self, mixed_stream):
+        for key, warm in mixed_stream["warm"].items():
+            assert warm.status == "hit"
+            assert warm.qasm == mixed_stream["cold"][key].qasm
+
+    def test_duplicates_cost_at_most_one_pool_compile_per_key(self, mixed_stream):
+        duplicates = mixed_stream["duplicates"]
+        assert len(duplicates) == len(MIX_KEYS) * DUPLICATES
+        assert mixed_stream["pool_compiles"] <= len(MIX_KEYS)
+        cold_texts = {response.qasm for response in mixed_stream["cold"].values()}
+        assert {response.qasm for response in duplicates} == cold_texts
+
+    def test_request_and_batch_spans_are_recorded(self, mixed_stream):
+        names = mixed_stream["span_names"]
+        assert names.count("service.request") == len(MIX_KEYS) * (2 + DUPLICATES)
+        assert "service.batch" in names
 
 
 class TestServiceHTTP:
