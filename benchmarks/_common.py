@@ -1,7 +1,9 @@
 """Shared helpers for the ``BENCH_*.json`` trajectory files.
 
 Every benchmark script under ``benchmarks/`` emits a JSON payload that CI
-archives; :func:`emit_bench_json` is the single writer, so each file carries
+archives.  The scripts write it under :data:`BENCH_DIR` (``build/bench/``,
+gitignored), so running them leaves the checkout unchanged.
+:func:`emit_bench_json` is the single writer, so each file carries
 the same provenance block (benchmark name, git revision, python/numpy
 versions) under a ``"meta"`` key while the script's own top-level keys are
 left untouched — consumers that read a payload back keep working unchanged.
@@ -13,6 +15,9 @@ import subprocess
 from pathlib import Path
 
 import numpy
+
+#: Where the benchmark scripts write their payloads (gitignored).
+BENCH_DIR = Path(__file__).resolve().parent.parent / "build" / "bench"
 
 
 def git_revision() -> str:
@@ -47,6 +52,7 @@ def emit_bench_json(path, name: str, payload: dict) -> Path:
     ``"meta"`` key keeps it); the file always ends with a newline.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     data = {"meta": bench_metadata(name)}
     data.update(payload)
     path.write_text(json.dumps(data, indent=2) + "\n")

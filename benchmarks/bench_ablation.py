@@ -1,4 +1,4 @@
-"""Ablations of the design choices called out in DESIGN.md.
+"""Ablations of the Trios compiler's design choices.
 
 Each benchmark compares the full Trios pipeline against a variant with one
 ingredient removed, over a pool of random Toffoli placements on Johannesburg:

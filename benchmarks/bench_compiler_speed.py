@@ -17,7 +17,7 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_compiler_speed.py -q -s
 
 or standalone (prints the comparison, asserts the >=5x speedup and writes the
-``BENCH_compiler.json`` trajectory file)::
+``build/bench/BENCH_compiler.json`` trajectory file)::
 
     PYTHONPATH=src python benchmarks/bench_compiler_speed.py
 """
@@ -31,7 +31,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _common import emit_bench_json
+from _common import BENCH_DIR, emit_bench_json
 from _legacy_routing import legacy_routers
 
 from repro.bench_circuits import get_benchmark
@@ -176,7 +176,7 @@ def test_routing_fastpath_speedup():
         "speedup_bar": SPEEDUP_BAR,
         "pipeline_compiles_per_second": pipeline_rates(),
     }
-    out = emit_bench_json(Path.cwd() / "BENCH_compiler.json", "compiler_speed", payload)
+    out = emit_bench_json(BENCH_DIR / "BENCH_compiler.json", "compiler_speed", payload)
     print(f"  wrote {out}")
     assert geomean >= SPEEDUP_BAR, (
         f"routing fast path regressed: {geomean:.1f}x < {SPEEDUP_BAR}x"

@@ -9,14 +9,14 @@ Toffoli workload and compiled Figure 6 / Table 1 cases on Johannesburg.
 
 Each run cross-checks that the sampled success probability lands within 4σ of
 the exact one (the two engines share their noise channels, so disagreement is
-a bug, not noise) and emits ``BENCH_density.json`` with the timing trajectory
+a bug, not noise) and emits ``build/bench/BENCH_density.json`` with the timing trajectory
 for CI to archive.
 
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_density.py -q -s
 
-or standalone (prints the table, writes BENCH_density.json)::
+or standalone (prints the table, writes build/bench/BENCH_density.json)::
 
     PYTHONPATH=src python benchmarks/bench_density.py
 """
@@ -29,7 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _common import emit_bench_json
+from _common import BENCH_DIR, emit_bench_json
 
 from repro.circuits import QuantumCircuit
 from repro.experiments.benchmarks import compile_benchmark_cached
@@ -42,7 +42,7 @@ EPSILON = 0.0025
 #: Shots for the timed trajectory pilot run (throughput is extrapolated).
 PILOT_SHOTS = 2048
 CALIBRATION = johannesburg_aug19_2020()
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_density.json"
+OUTPUT = BENCH_DIR / "BENCH_density.json"
 
 
 def toffoli_workload() -> QuantumCircuit:

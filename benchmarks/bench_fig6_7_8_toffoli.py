@@ -2,7 +2,7 @@
 
 The paper runs 35 random triplets (Figures 6/7) and 99 (Figure 8) with 8192
 shots on IBM Johannesburg; here the hardware is replaced by the calibrated
-noisy sampler (see DESIGN.md).  The benchmark uses a reduced default so the
+noisy sampler.  The benchmark uses a reduced default so the
 suite stays quick — pass ``--triplets``-style customisation by editing the
 constants below if a full-size run is wanted.
 """

@@ -14,7 +14,8 @@ paper topologies x both pipelines, seed 11 — 88 cells) twice:
   estimator call.  The bar is < 10% against the best disabled sweep,
   best-of-``REPEATS`` on both sides.
 
-Both bars are hard ``assert``s; the measurements land in ``BENCH_obs.json``::
+Both bars are hard ``assert``s; the measurements land in
+``build/bench/BENCH_obs.json``::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py
 """
@@ -27,7 +28,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from _common import emit_bench_json
+from _common import BENCH_DIR, emit_bench_json
 
 from repro import obs
 from repro.bench_circuits.suite import PAPER_BENCHMARKS, get_benchmark
@@ -132,7 +133,7 @@ def main() -> int:
     )
 
     out = emit_bench_json(
-        Path.cwd() / "BENCH_obs.json",
+        BENCH_DIR / "BENCH_obs.json",
         "obs_overhead",
         {
             "cells": cells,

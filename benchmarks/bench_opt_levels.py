@@ -15,7 +15,7 @@ search) and asserts the level-3 contract cell by cell:
   verify are counted and listed, never silently skipped.
 
 Run standalone (prints the per-cell table, asserts the contract, writes the
-``BENCH_opt.json`` trajectory file consumed by CI)::
+``build/bench/BENCH_opt.json`` trajectory file consumed by CI)::
 
     PYTHONPATH=src python benchmarks/bench_opt_levels.py [--jobs N] [--quick]
 """
@@ -30,7 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _common import emit_bench_json
+from _common import BENCH_DIR, emit_bench_json
 
 from repro.bench_circuits.suite import PAPER_BENCHMARKS, get_benchmark
 from repro.compiler.pipeline import transpile
@@ -165,7 +165,7 @@ def main(argv=None) -> int:
         "verified_cells": len(verified),
         "skipped_verification_cells": len(skipped),
     }
-    out = emit_bench_json(Path.cwd() / "BENCH_opt.json", "opt_levels", payload)
+    out = emit_bench_json(BENCH_DIR / "BENCH_opt.json", "opt_levels", payload)
     print(f"\n  wrote {out}")
 
     assert not regressions, (

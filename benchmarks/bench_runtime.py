@@ -17,7 +17,7 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_runtime.py -q -s
 
 or standalone (prints the comparison, asserts both bars and writes the
-``BENCH_runtime.json`` trajectory file with the failure records)::
+``build/bench/BENCH_runtime.json`` trajectory file with the failure records)::
 
     PYTHONPATH=src python benchmarks/bench_runtime.py
 """
@@ -29,7 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _common import emit_bench_json
+from _common import BENCH_DIR, emit_bench_json
 
 import numpy as np
 
@@ -152,7 +152,7 @@ def test_runtime_overhead_and_crash_survival():
             ],
         },
     }
-    out = emit_bench_json(Path.cwd() / "BENCH_runtime.json", "runtime", payload)
+    out = emit_bench_json(BENCH_DIR / "BENCH_runtime.json", "runtime", payload)
     print(f"  wrote {out}")
 
     assert overhead < OVERHEAD_BAR, (

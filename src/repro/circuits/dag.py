@@ -37,7 +37,10 @@ def weighted_depth(
 
     One linear scan with per-wire ready times; no dependency graph is built,
     because any topological order (program order included) gives the same
-    makespan.
+    makespan.  Nothing in the package scores circuits with it: the success
+    estimator computes Δ in its own scan
+    (:func:`repro.sim.estimator.circuit_duration`), and this general form is
+    kept as the reference the tests check that scan against.
 
     Args:
         instructions: The instructions in a valid topological order, e.g.

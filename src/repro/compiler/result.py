@@ -24,8 +24,7 @@ from ..hardware.target import Target
 from ..hardware.topology import CouplingMap
 from ..passes.base import PropertySet
 from ..passes.layout import Layout
-from ..passes.scheduling import asap_schedule
-from ..sim.estimator import SuccessEstimate, estimate_success
+from ..sim.estimator import SuccessEstimate, circuit_duration, estimate_success
 
 
 @dataclass
@@ -41,11 +40,6 @@ class CompilationResult:
     source_name: str = ""
     properties: PropertySet = field(default_factory=PropertySet)
     target: Optional[Target] = None
-    # Barrier-free view of the circuit, memoized by _bare_circuit() (kept out
-    # of `properties`, which is the pass pipeline's data and gets serialised).
-    _bare: Optional[QuantumCircuit] = field(
-        default=None, repr=False, compare=False
-    )
 
     # ------------------------------------------------------------------
     # Gate metrics
@@ -98,22 +92,14 @@ class CompilationResult:
     # ------------------------------------------------------------------
     # Time / noise metrics
     # ------------------------------------------------------------------
-    def _bare_circuit(self) -> QuantumCircuit:
-        """The compiled circuit without barriers, built once and cached.
-
-        Duration and success queries both schedule this circuit.  It shares
-        the compiled circuit's (immutable) instruction objects.
-        """
-        if self._bare is None:
-            self._bare = self.circuit.without(["barrier"])
-        return self._bare
-
     def duration(self, calibration: Optional[DeviceCalibration] = None) -> float:
         """ASAP-scheduled makespan in microseconds.
 
         ``calibration`` defaults to the target's calibration when present.
+        Barriers are dropped, not synchronising (see
+        :func:`~repro.sim.estimator.circuit_duration`).
         """
-        return asap_schedule(self._bare_circuit(), self._calibration(calibration)).duration
+        return circuit_duration(self.circuit, self._calibration(calibration))
 
     def success_estimate(
         self,
@@ -122,7 +108,7 @@ class CompilationResult:
     ) -> SuccessEstimate:
         """The paper's analytic success-probability estimate for this circuit."""
         return estimate_success(
-            self._bare_circuit(),
+            self.circuit,
             self._calibration(calibration),
             include_readout=include_readout,
         )

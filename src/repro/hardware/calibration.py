@@ -14,9 +14,10 @@ All times are in microseconds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, NamedTuple, Tuple
 
 from ..exceptions import HardwareError
 from .topology import CouplingMap
@@ -43,6 +44,33 @@ def damping_parameters(duration: float, t1: float, t2: float) -> Tuple[float, fl
     gamma = 1.0 - math.exp(-duration / t1)
     lam = max(0.0, math.exp(-duration / t1) - math.exp(-2.0 * duration / t2))
     return gamma, lam
+
+
+class GateCosts(NamedTuple):
+    """A calibration's per-gate cost model as plain floats.
+
+    The one home of what a native gate costs: :meth:`DeviceCalibration.gate_error`
+    and :meth:`~DeviceCalibration.gate_duration` answer from it, and the
+    success estimator reads it once per circuit instead of asking per gate.
+    """
+
+    one_qubit_error: float
+    two_qubit_error: float
+    #: Per-coupler CNOT errors, keyed ``(min, max)``; often empty.
+    edge_errors: Mapping[Edge, float]
+    readout_error: float
+    one_qubit_time: float
+    two_qubit_time: float
+    #: A SWAP left in the circuit is three back-to-back CNOTs.
+    swap_time: float
+    #: The duration of a measurement, and of a reset.
+    readout_time: float
+
+    def two_qubit_error_on(self, a: int, b: int) -> float:
+        """The CNOT error on the coupler ``(a, b)``, in either orientation."""
+        if self.edge_errors:
+            return self.edge_errors.get((a, b) if a < b else (b, a), self.two_qubit_error)
+        return self.two_qubit_error
 
 
 @dataclass(frozen=True)
@@ -94,17 +122,31 @@ class DeviceCalibration:
     # ------------------------------------------------------------------
     # Lookup helpers
     # ------------------------------------------------------------------
+    @functools.cached_property
+    def gate_costs(self) -> GateCosts:
+        """The per-gate cost model, computed once per calibration."""
+        return GateCosts(
+            one_qubit_error=float(self.one_qubit_gate_error),
+            two_qubit_error=float(self.two_qubit_gate_error),
+            edge_errors={edge: float(error) for edge, error in self.edge_errors.items()},
+            readout_error=float(self.readout_error),
+            one_qubit_time=float(self.one_qubit_gate_time),
+            two_qubit_time=float(self.two_qubit_gate_time),
+            swap_time=float(self.two_qubit_gate_time * 3),
+            readout_time=float(self.readout_time),
+        )
+
     def gate_error(self, name: str, qubits: Tuple[int, ...]) -> float:
         """Error probability for a gate with the given name acting on ``qubits``."""
-        if name in ("barrier",):
+        costs = self.gate_costs
+        if name == "barrier":
             return 0.0
         if name == "measure":
-            return self.readout_error
+            return costs.readout_error
         if len(qubits) == 1:
-            return self.one_qubit_gate_error
+            return costs.one_qubit_error
         if len(qubits) == 2:
-            edge = (min(qubits), max(qubits))
-            return float(self.edge_errors.get(edge, self.two_qubit_gate_error))
+            return costs.two_qubit_error_on(*qubits)
         raise HardwareError(
             f"gate {name!r} on {len(qubits)} qubits is not hardware-native; "
             "decompose before estimating errors"
@@ -112,17 +154,15 @@ class DeviceCalibration:
 
     def gate_duration(self, name: str, qubits: Tuple[int, ...]) -> float:
         """Duration (µs) for a hardware-native gate."""
+        costs = self.gate_costs
         if name == "barrier":
             return 0.0
-        if name == "measure":
-            return self.readout_time
-        if name == "reset":
-            return self.readout_time
+        if name == "measure" or name == "reset":
+            return costs.readout_time
         if len(qubits) == 1:
-            return self.one_qubit_gate_time
+            return costs.one_qubit_time
         if len(qubits) == 2:
-            # A SWAP left in the circuit is three back-to-back CNOTs.
-            return self.two_qubit_gate_time * (3 if name == "swap" else 1)
+            return costs.swap_time if name == "swap" else costs.two_qubit_time
         raise HardwareError(
             f"gate {name!r} on {len(qubits)} qubits has no native duration"
         )

@@ -120,9 +120,8 @@ class Target:
         """
         from ..sim.estimator import estimate_success
 
-        bare = circuit.without(["barrier"])
         return estimate_success(
-            bare, self.scoring_calibration(), include_readout=include_readout
+            circuit, self.scoring_calibration(), include_readout=include_readout
         ).probability
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

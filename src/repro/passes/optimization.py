@@ -22,8 +22,9 @@ from typing import Dict, List, Tuple
 from ..circuits.circuit import Instruction
 from ..circuits.dag import DagCircuit
 from ..circuits import library
+from ..circuits.gate import NON_UNITARY_NAMES, SELF_INVERSE_NAMES
 from .base import FixedPoint, PropertySet, TransformationPass
-from .synthesis import synthesise_run
+from .synthesis import merged_run_instruction
 
 
 @functools.lru_cache(maxsize=4096)
@@ -79,16 +80,25 @@ def is_inverse_pair(first: Instruction, second: Instruction) -> bool:
 
     The shared cancellation test of :class:`CancelAdjacentInversesPass` and the
     commutation-aware :class:`~repro.passes.commutation.CommutativeCancellationPass`.
+    It answers exactly ``first.gate.is_unitary and second.gate.is_unitary and
+    first.qubits == second.qubits and first.gate == second.gate.inverse()``,
+    cheapest test first, and builds no inverse for a self-inverse gate.
     """
+    if first.qubits != second.qubits:
+        return False
+    gate = first.gate
+    other = second.gate
+    if other.name in SELF_INVERSE_NAMES:
+        # ``inverse()`` of a self-inverse gate is the gate itself.
+        return gate is other or gate == other
     # Compare ``first == second.inverse()`` (not the flipped form): the two
     # differ at the object level for gates whose ``inverse()`` changes the
     # gate name (``u2`` inverts to a ``u3``), and this orientation is the one
     # the byte-frozen level-1 pipelines have always used.
     return (
-        first.gate.is_unitary
-        and second.gate.is_unitary
-        and first.qubits == second.qubits
-        and first.gate == second.gate.inverse()
+        gate.name not in NON_UNITARY_NAMES
+        and other.name not in NON_UNITARY_NAMES
+        and gate == other.inverse()
     )
 
 
@@ -114,34 +124,41 @@ class CancelAdjacentInversesPass(TransformationPass):
     checks = ("gate_count_nonincreasing",)
 
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
-        out: list = []  # entries, None once retracted
-        flags: List[bool] = []
-        # Per qubit, the output indices of its live entries (-1: wire start).
+        instructions = dag.instructions
+        # Per qubit, the input indices of its live entries (-1: wire start).
         live: List[List[int]] = [[-1] for _ in range(dag.num_qubits)]
-        cancelled = False
-        for instruction, canonical in zip(dag.instructions, dag.canonical_1q):
+        cancelled: List[int] = []
+        for index, instruction in enumerate(instructions):
             qubits = instruction.qubits
-            if qubits:
+            count = len(qubits)
+            if count == 1:
+                stack = live[qubits[0]]
+                partner = stack[-1]
+                if partner >= 0 and is_inverse_pair(instructions[partner], instruction):
+                    stack.pop()
+                    cancelled += (partner, index)
+                else:
+                    stack.append(index)
+                continue
+            if count == 2:
                 partner = live[qubits[0]][-1]
-                if (
-                    partner >= 0
-                    and all(live[q][-1] == partner for q in qubits[1:])
-                    and is_inverse_pair(out[partner], instruction)
-                ):
-                    out[partner] = None
-                    for qubit in qubits:
-                        live[qubit].pop()
-                    cancelled = True
-                    continue
-                index = len(out)
+                adjacent = partner >= 0 and live[qubits[1]][-1] == partner
+            else:
+                partner = live[qubits[0]][-1]
+                adjacent = partner >= 0 and all(live[q][-1] == partner for q in qubits[1:])
+            if adjacent and is_inverse_pair(instructions[partner], instruction):
+                for qubit in qubits:
+                    live[qubit].pop()
+                cancelled += (partner, index)
+            else:
                 for qubit in qubits:
                     live[qubit].append(index)
-            out.append(instruction)
-            flags.append(canonical)
         if not cancelled:
             return dag
-        keep = [i for i, instruction in enumerate(out) if instruction is not None]
-        return dag.derive([out[i] for i in keep], [flags[i] for i in keep])
+        gone = set(cancelled)
+        keep = [i for i in range(len(instructions)) if i not in gone]
+        flags = dag.canonical_1q
+        return dag.derive([instructions[i] for i in keep], [flags[i] for i in keep])
 
 
 class Consolidate1qRunsPass(TransformationPass):
@@ -160,13 +177,15 @@ class Consolidate1qRunsPass(TransformationPass):
     keeping its first application bit-identical to the historical behaviour.
 
     The pass only collects each wire's run of entries; what a run becomes is
-    answered at flush by :func:`~repro.passes.synthesis.synthesise_run`,
-    which composes with numpy ``@`` on purpose and memoises the answer on the
-    exact bits of the run's gates.  Scalar complex products round differently
-    in the last bit, and the ZYZ angles derived from the product carry that
-    difference into the emitted ``u3`` gates: 43 of the 88 Figure 9/10
-    compiles then miss their frozen sha256.  A sweep meets only a few dozen
-    distinct runs, so nearly every flush is a memo hit.
+    answered at flush by
+    :func:`~repro.passes.synthesis.merged_run_instruction`, which composes
+    with numpy ``@`` on purpose and memoises the merged ``u3``
+    :class:`Instruction` on the exact bits of the run's gates and its qubit.
+    Scalar complex products round differently in the last bit, and the ZYZ
+    angles derived from the product carry that difference into the emitted
+    ``u3`` gates: 43 of the 88 Figure 9/10 compiles then miss their frozen
+    sha256.  Over 99% of a sweep's flushes are memo hits, and a hit hands
+    back a shared instruction, so a repeated run allocates nothing.
 
     After each run, :attr:`identity_runs_dropped` counts the runs that
     multiplied to the identity — the only rewrite here that can make two
@@ -190,19 +209,19 @@ class Consolidate1qRunsPass(TransformationPass):
             nonlocal changed, dropped
             if len(slots) == 1 and flags[slots[0]]:
                 return  # already in canonical form; rewriting would only churn bytes
-            merged = synthesise_run([out[slot].gate for slot in slots])
+            merged = merged_run_instruction([out[slot].gate for slot in slots], qubit)
             for slot in slots:
                 out[slot] = None
             changed = True
             if merged is None:
                 dropped += 1
                 return
-            out.append(Instruction(merged, (qubit,)))
+            out.append(merged)
             flags.append(True)
 
         for instruction, canonical in zip(dag.instructions, dag.canonical_1q):
             qubits = instruction.qubits
-            if len(qubits) == 1 and instruction.gate.is_unitary:
+            if len(qubits) == 1 and instruction.gate.name not in NON_UNITARY_NAMES:
                 slots = pending.get(qubits[0])
                 if slots is None:
                     pending[qubits[0]] = [len(out)]

@@ -343,9 +343,7 @@ def finish_exact_distribution(
     """
     noisy = simulator.noise_model is not None
     if noisy and simulator.include_decoherence and simulator.decoherence == "global":
-        duration = circuit_duration(
-            circuit.without(["barrier"]), simulator.calibration
-        )
+        duration = circuit_duration(circuit, simulator.calibration)
         failure = simulator.noise_model.decoherence_failure_probability(duration)
         distribution = (1.0 - failure) * distribution + failure / distribution.size
     if (

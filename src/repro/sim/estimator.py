@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from .. import obs
 from ..circuits.circuit import QuantumCircuit
-from ..circuits.dag import weighted_depth
 from ..exceptions import SimulationError
 from ..hardware.calibration import DeviceCalibration
 
@@ -45,18 +45,11 @@ def circuit_duration(circuit: QuantumCircuit, calibration: DeviceCalibration) ->
 
     One scan of ``circuit.instructions`` with per-wire ready times: program
     order is a topological order, so no DAG is built (or cached on the
-    circuit) to score it.
+    circuit) to score it.  Barriers are skipped where they stand: they are
+    dropped, not synchronising, so the makespan is that of
+    ``circuit.without(["barrier"])`` without building that copy.
     """
-
-    def duration_of(instruction) -> float:
-        if instruction.gate.num_qubits >= 3:
-            raise SimulationError(
-                f"gate {instruction.name!r} is not hardware-native; decompose "
-                "the circuit before estimating duration"
-            )
-        return calibration.gate_duration(instruction.name, instruction.qubits)
-
-    return weighted_depth(circuit.instructions, duration_of)
+    return _scan(circuit, calibration, False)[-1]
 
 
 def estimate_success(
@@ -68,7 +61,10 @@ def estimate_success(
 
     Args:
         circuit: Circuit containing only one- and two-qubit gates (SWAPs are
-            treated as three CNOTs), plus optional measurements/barriers.
+            treated as three CNOTs), plus optional measurements, resets and
+            barriers.  Barriers are dropped, not synchronising: they neither
+            cost an error nor delay any wire, exactly as if the circuit had
+            been stripped of them first.
         calibration: Device error rates and timings.
         include_readout: Whether measurement errors contribute; the paper's
             simulation model folds readout into the gate-error product, so this
@@ -92,39 +88,14 @@ def _estimate_success(
     calibration: DeviceCalibration,
     include_readout: bool,
 ) -> SuccessEstimate:
-    gate_success = 1.0
-    readout_success = 1.0
-    num_two_qubit = 0
-    num_one_qubit = 0
-    num_measure = 0
-    for instruction in circuit.instructions:
-        name = instruction.name
-        if name == "barrier":
-            continue
-        if name == "measure":
-            num_measure += 1
-            if include_readout:
-                readout_success *= 1.0 - calibration.readout_error
-            continue
-        if name == "reset":
-            continue
-        if instruction.gate.num_qubits >= 3:
-            raise SimulationError(
-                f"gate {name!r} on {instruction.gate.num_qubits} qubits is not "
-                "hardware-native; run the second decomposition pass first"
-            )
-        if name == "swap":
-            # A SWAP still present in the circuit costs three CNOTs.
-            error = calibration.gate_error("cx", instruction.qubits)
-            gate_success *= (1.0 - error) ** 3
-            num_two_qubit += 3
-        elif instruction.gate.num_qubits == 2:
-            gate_success *= 1.0 - calibration.gate_error(name, instruction.qubits)
-            num_two_qubit += 1
-        else:
-            gate_success *= 1.0 - calibration.gate_error(name, instruction.qubits)
-            num_one_qubit += 1
-    duration = circuit_duration(circuit, calibration)
+    (
+        gate_success,
+        readout_success,
+        num_two_qubit,
+        num_one_qubit,
+        num_measure,
+        duration,
+    ) = _scan(circuit, calibration, include_readout)
     coherence_success = math.exp(-(duration / calibration.t1 + duration / calibration.t2))
     if obs.is_enabled():
         obs.counter("sim.estimator.calls").inc()
@@ -137,6 +108,96 @@ def _estimate_success(
         num_two_qubit_gates=num_two_qubit,
         num_one_qubit_gates=num_one_qubit,
         num_measurements=num_measure,
+    )
+
+
+def _scan(
+    circuit: QuantumCircuit, calibration: DeviceCalibration, include_readout: bool
+) -> Tuple[float, float, int, int, int, float]:
+    """One pass over ``circuit``: the error products, the gate counts and Δ.
+
+    Returns ``(gate_success, readout_success, two_qubit_gates,
+    one_qubit_gates, measurements, duration)``.  Costs come from the
+    calibration's :attr:`~DeviceCalibration.gate_costs`, read once, and each
+    factor is multiplied in program order, so every float is bit-identical to
+    asking :meth:`~DeviceCalibration.gate_error` and
+    :meth:`~DeviceCalibration.gate_duration` per instruction.  Δ is the ASAP
+    makespan with per-wire ready times (program order is a topological
+    order).  Barriers are skipped.
+    """
+    costs = calibration.gate_costs
+    one_qubit_success = 1.0 - costs.one_qubit_error
+    measure_success = 1.0 - costs.readout_error
+    two_qubit_error_on = costs.two_qubit_error_on
+    one_qubit_time = costs.one_qubit_time
+    two_qubit_time = costs.two_qubit_time
+    swap_time = costs.swap_time
+    readout_time = costs.readout_time
+
+    gate_success = 1.0
+    readout_success = 1.0
+    num_two_qubit = 0
+    num_one_qubit = 0
+    num_measure = 0
+    ready = [0.0] * circuit.num_qubits
+    ready_clbit: Dict[int, float] = {}
+    makespan = 0.0
+    for instruction in circuit.instructions:
+        name = instruction.gate.name
+        if name == "barrier":
+            continue
+        qubits = instruction.qubits
+        count = len(qubits)
+        if count == 1:
+            if name == "measure":
+                num_measure += 1
+                if include_readout:
+                    readout_success *= measure_success
+                duration = readout_time
+            elif name == "reset":
+                duration = readout_time
+            else:
+                gate_success *= one_qubit_success
+                num_one_qubit += 1
+                duration = one_qubit_time
+            start = ready[qubits[0]]
+        elif count == 2:
+            a, b = qubits
+            error = two_qubit_error_on(a, b)
+            if name == "swap":
+                # A SWAP still present in the circuit costs three CNOTs.
+                gate_success *= (1.0 - error) ** 3
+                num_two_qubit += 3
+                duration = swap_time
+            else:
+                gate_success *= 1.0 - error
+                num_two_qubit += 1
+                duration = two_qubit_time
+            start = ready[a]
+            if ready[b] > start:
+                start = ready[b]
+        else:
+            raise SimulationError(
+                f"gate {name!r} on {count} qubits is not hardware-native; "
+                "decompose the circuit before estimating success or duration"
+            )
+        clbits = instruction.clbits
+        for clbit in clbits:
+            start = max(start, ready_clbit.get(clbit, 0.0))
+        end = start + duration
+        for qubit in qubits:
+            ready[qubit] = end
+        for clbit in clbits:
+            ready_clbit[clbit] = end
+        if end > makespan:
+            makespan = end
+    return (
+        gate_success,
+        readout_success,
+        num_two_qubit,
+        num_one_qubit,
+        num_measure,
+        makespan,
     )
 
 

@@ -120,7 +120,7 @@ class PauliTrajectorySampler:
             (inst.gate.matrix(), tuple(axes[q] for q in inst.qubits)) for inst in gates
         ]
         compact_measured = [axes[q] for q in measured_qubits]
-        duration = circuit_duration(circuit.without(["barrier"]), self.calibration)
+        duration = circuit_duration(circuit, self.calibration)
         decoherence_failure = 0.0
         if self.include_decoherence:
             decoherence_failure = self.calibration.decoherence_failure_probability(
@@ -293,7 +293,7 @@ class GateFailureSampler:
                 f"sampler limit ({self.max_active_qubits})"
             )
         estimate = estimate_success(
-            circuit.without(["measure", "barrier"]), self.calibration, include_readout=False
+            circuit.without(["measure"]), self.calibration, include_readout=False
         )
         trouble_free = estimate.gate_success * estimate.coherence_success
         ideal = StatevectorSimulator(num_qubits_limit=self.max_active_qubits).probabilities(

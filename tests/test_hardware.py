@@ -145,6 +145,30 @@ class TestCalibration:
         calibration = johannesburg_aug19_2020()
         assert calibration.gate_duration("swap", (0, 1)) == pytest.approx(3 * 0.559)
 
+    @pytest.mark.parametrize("edges", [{}, {(3, 1): 0.05, (0, 2): 0.125}])
+    def test_gate_costs_come_from_the_fields(self, edges):
+        calibration = near_term_calibration()
+        if edges:
+            calibration = calibration.with_edge_errors(edges)
+        costs = calibration.gate_costs
+        assert costs is calibration.gate_costs  # computed once
+        assert costs.one_qubit_error == calibration.one_qubit_gate_error
+        assert costs.readout_error == calibration.readout_error
+        assert costs.swap_time == 3 * calibration.two_qubit_gate_time
+        for a, b in [(1, 3), (3, 1), (2, 0), (0, 1), (4, 5)]:
+            expected = float(edges.get((b, a), edges.get((a, b), calibration.two_qubit_gate_error)))
+            assert costs.two_qubit_error_on(a, b) == expected
+            assert calibration.gate_error("cx", (a, b)) == expected
+            assert calibration.gate_error("swap", (a, b)) == expected
+        assert calibration.gate_error("barrier", (0, 1, 2)) == 0.0
+        assert calibration.gate_duration("barrier", (0, 1, 2)) == 0.0
+        assert calibration.gate_duration("u3", (4,)) == calibration.one_qubit_gate_time
+        assert calibration.gate_duration("cx", (4, 5)) == calibration.two_qubit_gate_time
+        for op in ("measure", "reset"):
+            assert calibration.gate_duration(op, (0,)) == calibration.readout_time
+        with pytest.raises(HardwareError):
+            calibration.gate_duration("ccx", (0, 1, 2))
+
     def test_invalid_calibration_rejected(self):
         with pytest.raises(HardwareError):
             DeviceCalibration(

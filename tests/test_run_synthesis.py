@@ -1,7 +1,7 @@
 """The memo behind one-qubit run synthesis.
 
-``Consolidate1qRunsPass`` asks :func:`synthesise_run` what each run of
-one-qubit gates becomes.  The answer must be bit for bit the historical
+``Consolidate1qRunsPass`` asks :func:`merged_run_instruction` what each
+run of one-qubit gates becomes.  The gate must be bit for bit the historical
 expression: compose with numpy ``@`` starting from the identity, test the
 product with ``matrix_is_identity``, synthesise it with ``u3_from_matrix``.
 These tests compare the memo, cold and warm, against that expression written
@@ -24,9 +24,9 @@ from repro.compiler.pipeline import transpile
 from repro.hardware.library import PAPER_TOPOLOGIES
 from repro.passes.synthesis import (
     RUN_SYNTHESIS_MEMO_SIZE,
-    _synthesise_exact,
+    _merged_instruction,
     matrix_is_identity,
-    synthesise_run,
+    merged_run_instruction,
     u3_from_matrix,
 )
 
@@ -42,6 +42,15 @@ def historical(gates):
     if matrix_is_identity(matrix):
         return None
     return u3_from_matrix(matrix)
+
+
+def merged_gate(gates, qubit=0):
+    """The gate the pass emits for ``gates`` (``None`` for the identity)."""
+    merged = merged_run_instruction(gates, qubit)
+    if merged is None:
+        return None
+    assert merged.qubits == (qubit,)
+    return merged.gate
 
 
 def exact(gate):
@@ -83,21 +92,21 @@ class TestExactness:
     @settings(max_examples=400, deadline=None)
     def test_cold_and_warm_answers_match_the_uncached_expression(self, run):
         expected = exact(historical(run))
-        _synthesise_exact.cache_clear()
-        assert exact(synthesise_run(run)) == expected
-        assert exact(synthesise_run(run)) == expected
-        assert _synthesise_exact.cache_info().hits == 1
+        _merged_instruction.cache_clear()
+        assert exact(merged_gate(run)) == expected
+        assert exact(merged_gate(run)) == expected
+        assert _merged_instruction.cache_info().hits == 1
 
     @given(run=RUNS, other=RUNS)
     @settings(max_examples=200, deadline=None)
     def test_answers_do_not_depend_on_what_the_memo_already_holds(self, run, other):
-        synthesise_run(other)
-        assert exact(synthesise_run(run)) == exact(historical(run))
+        merged_gate(other)
+        assert exact(merged_gate(run)) == exact(historical(run))
 
     def test_identity_products_are_none(self):
-        assert synthesise_run([Gate("h", 1), Gate("h", 1)]) is None
-        assert synthesise_run([Gate("t", 1), Gate("tdg", 1)]) is None
-        assert synthesise_run([Gate("rz", 1, (2 * math.pi,))]) is None
+        assert merged_gate([Gate("h", 1), Gate("h", 1)]) is None
+        assert merged_gate([Gate("t", 1), Gate("tdg", 1)]) is None
+        assert merged_gate([Gate("rz", 1, (2 * math.pi,))]) is None
 
     def test_signed_zero_is_a_distinct_key(self):
         # ``Gate`` equality (and hashing) cannot tell -0.0 from 0.0, so a
@@ -106,34 +115,44 @@ class TestExactness:
         positive = [Gate("u3", 1, (0.0, 0.5, 0.25)), Gate("h", 1)]
         negative = [Gate("u3", 1, (-0.0, 0.5, 0.25)), Gate("h", 1)]
         assert positive == negative
-        _synthesise_exact.cache_clear()
-        synthesise_run(positive)
-        synthesise_run(negative)
-        info = _synthesise_exact.cache_info()
+        _merged_instruction.cache_clear()
+        merged_gate(positive)
+        merged_gate(negative)
+        info = _merged_instruction.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
-        assert exact(synthesise_run(negative)) == exact(historical(negative))
+        assert exact(merged_gate(negative)) == exact(historical(negative))
+
+    def test_the_qubit_is_part_of_the_key(self):
+        run = [Gate("h", 1), Gate("t", 1)]
+        _merged_instruction.cache_clear()
+        on_zero = merged_run_instruction(run, 0)
+        on_three = merged_run_instruction(run, 3)
+        assert (on_zero.qubits, on_three.qubits) == ((0,), (3,))
+        assert exact(on_zero.gate) == exact(on_three.gate) == exact(historical(run))
+        assert merged_run_instruction(list(run), 0) is on_zero
+        assert _merged_instruction.cache_info().hits == 1
 
 
 class TestBound:
     def test_memo_never_exceeds_its_bound(self):
-        _synthesise_exact.cache_clear()
-        assert _synthesise_exact.cache_info().maxsize == RUN_SYNTHESIS_MEMO_SIZE
+        _merged_instruction.cache_clear()
+        assert _merged_instruction.cache_info().maxsize == RUN_SYNTHESIS_MEMO_SIZE
         for step in range(RUN_SYNTHESIS_MEMO_SIZE + 200):
-            synthesise_run([Gate("rz", 1, (1e-3 * (step + 1),)), Gate("h", 1)])
+            merged_gate([Gate("rz", 1, (1e-3 * (step + 1),)), Gate("h", 1)])
             if step % 512 == 0:
-                assert _synthesise_exact.cache_info().currsize <= RUN_SYNTHESIS_MEMO_SIZE
-        assert _synthesise_exact.cache_info().currsize == RUN_SYNTHESIS_MEMO_SIZE
+                assert _merged_instruction.cache_info().currsize <= RUN_SYNTHESIS_MEMO_SIZE
+        assert _merged_instruction.cache_info().currsize == RUN_SYNTHESIS_MEMO_SIZE
 
 
 @pytest.mark.parametrize("method", ["baseline", "trios"])
 def test_fig9_10_cell_compiles_the_same_cold_and_warm(method):
     coupling_map = PAPER_TOPOLOGIES["ibmq-johannesburg"]()
     circuit = get_benchmark("grovers-9")
-    _synthesise_exact.cache_clear()
+    _merged_instruction.cache_clear()
     cold = transpile(circuit, coupling_map, method=method, seed=11).circuit
-    assert _synthesise_exact.cache_info().misses > 0
+    assert _merged_instruction.cache_info().misses > 0
     warm = transpile(circuit, coupling_map, method=method, seed=11).circuit
-    assert _synthesise_exact.cache_info().hits > 0
+    assert _merged_instruction.cache_info().hits > 0
     assert [exact_instruction(i) for i in cold.instructions] == [
         exact_instruction(i) for i in warm.instructions
     ]
