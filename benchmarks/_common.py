@@ -1,8 +1,8 @@
 """Shared helpers for the ``BENCH_*.json`` trajectory files.
 
-Every benchmark script under ``benchmarks/`` emits a JSON payload that CI
-archives.  The scripts write it under :data:`BENCH_DIR` (``build/bench/``,
-gitignored), so running them leaves the checkout unchanged.
+A benchmark script that emits a JSON payload for CI to archive
+(``bench_runtime.py``) writes it under :data:`BENCH_DIR` (``build/bench/``,
+gitignored), so running it leaves the checkout unchanged.
 :func:`emit_bench_json` is the single writer, so each file carries
 the same provenance block (benchmark name, git revision, python/numpy
 versions) under a ``"meta"`` key while the script's own top-level keys are

@@ -11,7 +11,11 @@ Writes three files:
 * ``tests/data/compiled_levels_sha256.json`` pins the same cells at
   optimisation levels 0, 2 and 3, the ``greedy-depth`` flow at level 1, and
   the four Figure 6-8 Toffoli configurations on six fixed Johannesburg
-  triplets (``tests/test_compiled_levels.py``).
+  triplets (``tests/test_compiled_levels.py``).  Before any file is written,
+  every level-3 cell must hold the level-3 contract: no more CNOTs and no
+  greater depth than level 2, and equivalence to the logical circuit
+  (layouts included) on every cell with at most ``MAX_VERIFY_WIRES`` active
+  wires; the verified and skipped counts are printed.
 * ``tests/data/fig9_10_qasm_sha256.json`` pins a SHA-256 of the OpenQASM
   text :func:`repro.circuits.qasm.to_qasm` renders for every level-1 cell,
   so the exporter's bytes (pi fractions, ``repr`` fallbacks) are pinned
@@ -36,14 +40,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.bench_circuits.suite import PAPER_BENCHMARKS, get_benchmark
 from repro.circuits.qasm import to_qasm
 from repro.compiler.pipeline import transpile
+from repro.exceptions import SimulationError
 from repro.experiments.toffoli import CONFIGURATIONS, compile_configuration
 from repro.hardware.library import PAPER_TOPOLOGIES, johannesburg
+from repro.sim.equivalence import routed_circuits_equivalent
 
 SEED = 11
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 OUTPUT = DATA / "fig9_10_compiled_sha256.json"
 LEVELS_OUTPUT = DATA / "compiled_levels_sha256.json"
 QASM_OUTPUT = DATA / "fig9_10_qasm_sha256.json"
+#: Level-3 cells with more active device wires than this skip the dense
+#: equivalence check; they are counted, never silently dropped.
+MAX_VERIFY_WIRES = 16
+FIDELITY_FLOOR = 1.0 - 1e-7
 
 #: Physical Johannesburg triplets the Toffoli configurations are pinned on:
 #: two lines, one bent pair plus a far qubit, and three spread-out trios.
@@ -107,19 +117,65 @@ def compile_toffoli(index: int, triplet, configuration: str):
     )
 
 
+def level3_verified(cell: str, name: str, level2, level3) -> bool:
+    """Assert the level-3 contract on one cell.
+
+    Returns ``True`` when the cell was equivalence-checked and ``False`` when
+    it has too many active wires for the dense check.
+    """
+    assert level3.two_qubit_gate_count <= level2.two_qubit_gate_count, (
+        f"level 3 has more CNOTs than level 2 on {cell}"
+    )
+    assert level3.depth <= level2.depth, (
+        f"level 3 is deeper than level 2 on {cell}"
+    )
+    try:
+        fidelity = routed_circuits_equivalent(
+            get_benchmark(name),
+            level3.circuit,
+            level3.initial_layout.to_dict(),
+            level3.final_layout.to_dict(),
+            trials=1,
+            max_active=MAX_VERIFY_WIRES,
+            fidelity_floor=FIDELITY_FLOOR,
+        )
+    except SimulationError:
+        return False
+    assert fidelity >= FIDELITY_FLOOR, (
+        f"level 3 is not equivalent to the logical circuit on {cell} "
+        f"(fidelity {fidelity!r})"
+    )
+    return True
+
+
 def level_hashes():
     hashes = {}
+    verified = skipped = 0
     for label, coupling_map, name in sweep_cells():
         for method in ("baseline", "trios"):
+            results = {}
             for level in (0, 2, 3):
-                result = compile_level(coupling_map, name, method, level)
-                hashes[level_key(label, name, method, level)] = sha256(result.circuit)
+                results[level] = compile_level(coupling_map, name, method, level)
+                hashes[level_key(label, name, method, level)] = sha256(
+                    results[level].circuit
+                )
+            cell = level_key(label, name, method, 3)
+            if level3_verified(cell, name, results[2], results[3]):
+                verified += 1
+            else:
+                skipped += 1
         result = compile_level(coupling_map, name, "greedy-depth", 1)
         hashes[level_key(label, name, "greedy-depth", 1)] = sha256(result.circuit)
     for index, triplet in enumerate(TOFFOLI_TRIPLETS):
         for configuration in CONFIGURATIONS:
             result = compile_toffoli(index, triplet, configuration)
             hashes[toffoli_key(triplet, configuration)] = sha256(result.circuit)
+    assert verified, "no level-3 cell was equivalence-checked; the check is dead"
+    print(
+        f"level-3 contract holds on all {verified + skipped} cells: "
+        f"{verified} equivalence-verified, {skipped} skipped "
+        f"(> {MAX_VERIFY_WIRES} active wires)"
+    )
     return hashes
 
 
@@ -132,6 +188,7 @@ def main() -> int:
             result = transpile(circuit, coupling_map, method=method, seed=SEED)
             hashes[f"{label}|{name}|{method}"] = sha256(result.circuit)
             qasm_hashes[f"{label}|{name}|{method}"] = qasm_sha256(result.circuit)
+    levels = level_hashes()
     OUTPUT.write_text(
         json.dumps({"seed": SEED, "hashes": hashes}, indent=1, sort_keys=True)
     )
@@ -140,7 +197,6 @@ def main() -> int:
         json.dumps({"seed": SEED, "hashes": qasm_hashes}, indent=1, sort_keys=True)
     )
     print(f"froze {len(qasm_hashes)} rendered-QASM hashes to {QASM_OUTPUT}")
-    levels = level_hashes()
     LEVELS_OUTPUT.write_text(
         json.dumps({"seed": SEED, "hashes": levels}, indent=1, sort_keys=True)
     )

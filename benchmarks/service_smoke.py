@@ -110,7 +110,7 @@ def main() -> int:
 
         # An ill-typed option and a level-3-only knob at level 1 fail while
         # the job is built: 400s that never reach the cache or the pool.
-        for options in ({"optimization_level": "1"}, {"jobs": 3}):
+        for options in ({"optimization_level": "1"}, {"seed_trials": 3}):
             status, body = client.compile(
                 requests[0][0], "line-20", "baseline", {"seed": SEED, **options})
             assert status == 400, (options, status, body)

@@ -48,7 +48,6 @@ from ..exceptions import TranspilerError
 from ..hardware.calibration import DeviceCalibration
 from ..hardware.target import Target
 from ..hardware.topology import CouplingMap
-from ..runtime import CellRunner, FailurePolicy, resolve_jobs
 from ..passes.base import BasePass, FixedPoint, PassManager, PropertySet, Stage
 from ..passes.commutation import CommutativeCancellationPass
 from ..passes.decompose import DecomposeToBasisPass
@@ -173,10 +172,6 @@ class TranspileOptions:
             (default on).
         seed_trials: Layout/routing seeds the level-3 search tries (default
             :data:`DEFAULT_SEED_TRIALS`).
-        jobs: Worker processes for the level-3 seed search, run on the
-            fault-tolerant runtime (:mod:`repro.runtime`): faulted candidate
-            seeds are dropped and the base seed always survives.  ``0``
-            means all CPUs; results are identical to ``jobs=1``.
         validate: ``False`` disables all checking.  Any other value keeps
             the final coupling-map connectivity check and additionally
             selects the pass-contract validation mode (see
@@ -189,7 +184,7 @@ class TranspileOptions:
     The three stage-conditional options (``toffoli_mode``,
     ``second_decomposition``, ``overlap_optimization``) resolve to ``None``
     for pipelines without their consuming stage and are rejected there when
-    given; ``seed_trials`` and ``jobs`` are likewise rejected below
+    given; ``seed_trials`` is likewise rejected below
     ``optimization_level=3``.  Integer options reject bools, floats and
     strings.
     """
@@ -204,12 +199,11 @@ class TranspileOptions:
     second_decomposition: Optional[str] = None
     overlap_optimization: Optional[bool] = None
     seed_trials: Optional[int] = None
-    jobs: int = 1
     validate: Union[None, bool, str] = True
 
     #: Options that cannot change the compiled circuit — only how it is
     #: produced or checked — and so stay out of :meth:`canonical`.
-    NON_SEMANTIC: ClassVar[FrozenSet[str]] = frozenset({"jobs", "validate"})
+    NON_SEMANTIC: ClassVar[FrozenSet[str]] = frozenset({"validate"})
 
     @classmethod
     def resolve(cls, method: str, options: Mapping[str, Any]) -> "TranspileOptions":
@@ -255,19 +249,13 @@ class TranspileOptions:
                 resolved[name] = default
             elif type(value) is not type(default) or value not in accepted:
                 raise TranspilerError(f"unknown {name} {value!r}")
-        jobs = _integer("jobs", self.jobs, 0)
-        resolved["jobs"] = jobs
         if level < 3:
-            # Search knobs silently ignored by the lower levels are bugs at
+            # A search knob silently ignored by the lower levels is a bug at
             # the call site, exactly like pipeline-less options above.
             if self.seed_trials is not None:
                 raise TranspilerError(
                     f"seed_trials={self.seed_trials!r} has no effect below "
                     f"optimization_level=3"
-                )
-            if jobs != 1:
-                raise TranspilerError(
-                    f"jobs={jobs!r} has no effect below optimization_level=3"
                 )
         elif self.seed_trials is None:
             resolved["seed_trials"] = DEFAULT_SEED_TRIALS
@@ -341,7 +329,7 @@ def _commutation_loop() -> FixedPoint:
     Runs *after* the level-2 cleanup loop has converged and consists solely of
     gate-removing / gate-rewriting passes, so its output never has more CNOTs
     or greater depth than the level-2 output it starts from — the monotonicity
-    the level-3 benchmark (``benchmarks/bench_opt_levels.py``) asserts cell by
+    ``benchmarks/freeze_fig9_10_reference.py`` asserts on every Figure 9/10
     cell.
     """
     return FixedPoint(
@@ -647,21 +635,20 @@ def _candidate_seeds(seed: Optional[int], trials: int) -> List[Optional[int]]:
 
 
 def _seed_candidate(
-    payload: Tuple[
-        _TranspileContext, QuantumCircuit, Optional[PropertySet], Optional[int]
-    ]
+    base_ctx: _TranspileContext,
+    circuit: QuantumCircuit,
+    prefix_properties: Optional[PropertySet],
+    candidate_seed: Optional[int],
 ):
-    """Compile and score one level-3 candidate; process-pool entry point.
+    """Compile and score one level-3 candidate.
 
     ``circuit`` and ``prefix_properties`` are the output of the shared
     seed-independent pipeline prefix (decomposition + pre-placement clean-up),
     run once by :func:`_run_seed_search`; each candidate deep-copies the
     property set before running the suffix stages so candidates never observe
-    each other's pass telemetry (the serial ``jobs=1`` path shares the
-    object).  ``prefix_properties=None`` means no prefix ran — the candidate
-    compiles the full pipeline itself.
+    each other's pass telemetry.  ``prefix_properties=None`` means no prefix
+    ran — the candidate compiles the full pipeline itself.
     """
-    base_ctx, circuit, prefix_properties, candidate_seed = payload
     ctx = replace(base_ctx, options=replace(base_ctx.options, seed=candidate_seed))
     if prefix_properties is None:
         manager = build_pass_manager(ctx)
@@ -695,13 +682,6 @@ def _run_seed_search(
     seed).  This keeps the search's output monotonically no worse than level
     2 on the paper's metrics while still exploiting routing-seed luck.
 
-    The search runs on the fault-tolerant runtime: a candidate seed whose
-    worker crashes, hangs or keeps raising is *dropped* (recorded in the
-    telemetry, never raised), and the base seed's candidate is recompiled
-    serially in the driver process if its worker was lost — so a level-3
-    compile can never fail because of a flaky worker, and its result is
-    always at least the base seed's.
-
     The pipeline's seed-independent prefix — decomposition and the
     pre-placement clean-up, everything before the ``"layout"`` stage — is
     identical across candidates, so it runs **once** here and every candidate
@@ -709,52 +689,24 @@ def _run_seed_search(
     ``tests/test_transpile.py`` pins byte-identity against the full per-seed
     pipeline).
     """
-    jobs = resolve_jobs(ctx.options.jobs)
     seeds = _candidate_seeds(ctx.options.seed, ctx.options.seed_trials)
     prefix_names, _ = _split_stage_names(ctx.options.method)
     prefix_properties: Optional[PropertySet] = None
     with obs.span(
-        "seed_search", category="compiler.seed_search", trials=len(seeds), jobs=jobs
+        "seed_search", category="compiler.seed_search", trials=len(seeds)
     ):
         if prefix_names:
             circuit, prefix_properties = _build_partial_manager(
                 prefix_names, ctx
             ).run(circuit)
-        payloads = [
-            (ctx, circuit, prefix_properties, candidate_seed)
+        candidates = [
+            _seed_candidate(ctx, circuit, prefix_properties, candidate_seed)
             for candidate_seed in seeds
         ]
-        runner = CellRunner(
-            jobs=jobs,
-            policy=FailurePolicy(retries=1, on_error="skip"),
-            label="level-3 seed search",
-        )
-        records = runner.run(payloads, _seed_candidate)
-    candidates: List[Optional[tuple]] = [
-        record.value if record.ok else None for record in records
-    ]
-    if candidates[0] is None:
-        # The base seed must always survive: recompile it in-process (where
-        # an injected or real worker death cannot reach) and let a genuine
-        # compilation error propagate as itself.
-        candidates[0] = _seed_candidate(payloads[0])
-    failed_seeds = [
-        {
-            "seed": seeds[record.index],
-            "status": record.status,
-            "attempts": record.attempts,
-            "error": str(record.error) if record.error else "",
-            "recovered_serially": record.index == 0,
-        }
-        for record in records
-        if not record.ok
-    ]
     base_cnots, base_depth = candidates[0][2], candidates[0][3]
     best_index = 0
     best_key = None
     for index, candidate in enumerate(candidates):
-        if candidate is None:
-            continue  # the candidate's worker was lost; seed dropped
         _, _, cnots, depth, success = candidate
         if cnots > base_cnots or depth > base_depth:
             continue  # inadmissible: would regress a level-2 metric
@@ -767,9 +719,7 @@ def _run_seed_search(
         "seeds": list(seeds),
         "chosen_seed": seeds[best_index],
         "chosen_index": best_index,
-        "jobs": jobs,
         "prefix_stages": list(prefix_names),
-        "failed_seeds": failed_seeds,
         "candidates": [
             {
                 "seed": seeds[index],
@@ -779,7 +729,6 @@ def _run_seed_search(
                 "admissible": candidate[2] <= base_cnots and candidate[3] <= base_depth,
             }
             for index, candidate in enumerate(candidates)
-            if candidate is not None
         ],
     }
     return compiled, properties

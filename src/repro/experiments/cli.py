@@ -231,10 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compile_cmd.add_argument("--seed-trials", type=int, default=None,
                              help="layout/routing seeds the level-3 search "
                                   "tries (only with --opt-level 3; default 4)")
-    compile_cmd.add_argument("--jobs", type=int, default=1,
-                             help="worker processes for the level-3 seed "
-                                  "search (only with --opt-level 3; "
-                                  "0 = all CPUs)")
     _add_observability_flags(compile_cmd)
 
     lint = subparsers.add_parser(
@@ -382,15 +378,14 @@ def _run_sensitivity(factors: Sequence[float], backend: str = "analytic",
 
 
 def _run_compile(benchmark: str, pipeline: str, topology: str, seed: int,
-                 optimization_level: int, seed_trials: Optional[int] = None,
-                 jobs: int = 1) -> None:
+                 optimization_level: int, seed_trials: Optional[int] = None) -> None:
     circuit = get_benchmark(benchmark)
     coupling_map = by_name(topology)
-    # The search knobs are always forwarded: below level 3 their defaults
-    # pass and any other value hits transpile()'s "has no effect" rejection.
+    # The search knob is always forwarded: below level 3 its default passes
+    # and any other value hits transpile()'s "has no effect" rejection.
     compiled = transpile(circuit, coupling_map, method=pipeline, seed=seed,
                          optimization_level=optimization_level,
-                         seed_trials=seed_trials, jobs=jobs)
+                         seed_trials=seed_trials)
     calibration = near_term_calibration()
     print(f"[compile] {benchmark} with the {pipeline!r} pipeline "
           f"on {topology} (seed {seed}, O{optimization_level})\n")
@@ -560,8 +555,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                          on_error=args.on_error)
     elif args.command == "compile":
         _run_compile(args.benchmark, args.pipeline, args.topology, args.seed,
-                     args.optimization_level, seed_trials=args.seed_trials,
-                     jobs=args.jobs)
+                     args.optimization_level, seed_trials=args.seed_trials)
     elif args.command == "serve":
         return _run_serve(args.host, args.port, args.cache_mb, args.shards,
                           args.pool_jobs, args.max_batch,

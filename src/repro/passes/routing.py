@@ -15,8 +15,8 @@ Path queries go through :class:`~repro.hardware.topology.CouplingMap`'s cached
 shortest-path machinery: deterministic paths are memoized, and the stochastic
 policy samples a uniformly random tied path from the cached predecessor DAG in
 O(path length) instead of enumerating every shortest path (the frozen original
-enumeration lives in ``benchmarks/_legacy_routing.py`` as a reference for the
-sampled distribution and the cost, not for the compiled bytes).
+enumeration lives in ``tests/_legacy_routing.py`` as a reference for the
+sampled distribution, not for the compiled bytes).
 """
 
 from __future__ import annotations

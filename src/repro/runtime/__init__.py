@@ -13,8 +13,8 @@ Module map:
   designated worker cells crash, hang, raise transiently, or return
   corrupted payloads on chosen attempts, reproducibly.
 
-The experiment sweeps (``repro.experiments``), the level-3 seed search
-(``repro.compiler.pipeline``) and the CLI all fan out through this package;
+The experiment sweeps (``repro.experiments``), the compile service's worker
+batches (``repro.service``) and the CLI all fan out through this package;
 a faulted cell becomes an explicit failure record instead of a crashed sweep,
 and every surviving cell is bit-identical to a fault-free serial run because
 each payload carries its own seed.

@@ -1,7 +1,7 @@
 """The fault-tolerant cell runner behind every process-pool fan-out.
 
 :class:`CellRunner` executes payload cells — the (topology, benchmark) cells
-of the experiment sweeps, the candidate seeds of the level-3 search — under an
+of the experiment sweeps, the compile service's batched jobs — under an
 explicit :class:`FailurePolicy` and returns structured :class:`CellResult`
 records instead of raising on the first fault:
 
@@ -19,9 +19,12 @@ records instead of raising on the first fault:
   or recorded as ``"timed_out"``.
 * **Worker-crash survival.**  A died worker (segfault, OOM kill,
   ``os._exit``) breaks the whole ``ProcessPoolExecutor``; the runner kills
-  and respawns the pool, gives each implicated in-flight cell a crash strike
-  (the culprit exhausts its retries and is recorded as ``"crashed"``;
-  innocents requeue and succeed), and requeues only unfinished cells.
+  and respawns the pool and requeues only unfinished cells.  A break with one
+  cell in flight gives that cell a crash strike.  A break with several in
+  flight cannot name the culprit, so they are requeued without penalty and
+  then rerun one at a time: the culprit's next crash is its own strike (it
+  exhausts its retries and is recorded as ``"crashed"``), and innocents
+  succeed.
 * **Graceful degradation.**  Under ``on_error="serial"`` a pool that keeps
   breaking (more than ``max_pool_respawns`` times) is abandoned with a
   warning and the remaining cells run serially in the driver process.
@@ -468,6 +471,10 @@ class CellRunner:
         policy = self.policy
         max_workers = min(jobs, n)
         pending: deque = deque(range(n))
+        # Cells implicated in a break with several in flight, rerun alone;
+        # ``solo`` holds back other submissions while one of them runs.
+        suspects: deque = deque()
+        solo = False
         delayed: List[Tuple[float, int]] = []  # (ready_time, index) heap
         attempts = [0] * n
         # future -> (index, submitted monotonic, submitted trace timestamp)
@@ -561,8 +568,15 @@ class CellRunner:
                 now = time.monotonic()
                 while delayed and delayed[0][0] <= now:
                     pending.append(heapq.heappop(delayed)[1])
-                while pending and len(in_flight) < max_workers:
-                    index = pending.popleft()
+                solo = solo and bool(in_flight)
+                while len(in_flight) < max_workers:
+                    if suspects and not in_flight:
+                        index = suspects.popleft()
+                        solo = True
+                    elif pending and not suspects and not solo:
+                        index = pending.popleft()
+                    else:
+                        break
                     attempts[index] += 1
                     future = pool.submit(
                         _invoke,
@@ -627,11 +641,17 @@ class CellRunner:
                         "worker process died (segfault/OOM/killed); "
                         "the process pool was respawned",
                     )
-                    for future, (index, submitted, submitted_ts) in list(
-                        in_flight.items()
-                    ):
-                        record_attempt(index, "crashed", submitted_ts)
-                        retry_or_finish(index, "crashed", crash_record, now - submitted)
+                    implicated = list(in_flight.values())
+                    for index, submitted, submitted_ts in implicated:
+                        if len(implicated) == 1:
+                            record_attempt(index, "crashed", submitted_ts)
+                            retry_or_finish(
+                                index, "crashed", crash_record, now - submitted
+                            )
+                        else:
+                            record_attempt(index, "requeued", submitted_ts)
+                            attempts[index] -= 1
+                            suspects.append(index)
                     in_flight.clear()
                     self._stop_pool(pool, hard=True)
                     pool = None
@@ -648,6 +668,7 @@ class CellRunner:
                         )
                         # Drain the queues; the serial loop owns the rest.
                         pending.clear()
+                        suspects.clear()
                         delayed.clear()
                         for index in remaining:
                             finish_result = self._run_cell_serial(

@@ -20,9 +20,9 @@ The key recipe (also documented in the README's service section)::
 * ``options.canonical()`` renders every semantic field of the resolved
   options, defaults filled in, so ``transpile(c, t)`` and
   ``transpile(c, t, optimization_level=1)`` share a key while
-  ``optimization_level=2`` never collides with either.  ``jobs`` and
-  ``validate`` cannot change the compiled output and are left out, so
-  varying them never fragments the cache.
+  ``optimization_level=2`` never collides with either.  ``validate``
+  cannot change the compiled output and is left out, so varying it never
+  fragments the cache.
 
 Options are resolved when the job is built: an unknown, misdirected or
 ill-typed option raises :class:`ServiceRequestError` before any key lookup

@@ -10,8 +10,9 @@ and it is consumed from three directions:
   ``verify=True``) re-checks every rewritten circuit;
 * the test suite's property tests assert that each pass preserves semantics on
   randomized circuits;
-* the benchmark harnesses (``benchmarks/bench_opt_levels.py``) verify that the
-  level-3 optimizer's output is equivalent to the level-2 output cell by cell.
+* the frozen-hash script (``benchmarks/freeze_fig9_10_reference.py``)
+  verifies the level-3 output against the logical circuit on every Figure
+  9/10 cell narrow enough for the dense check.
 
 Two checking methods are provided and selected automatically by size:
 

@@ -6,20 +6,16 @@ query and — in stochastic mode — enumerated **all** tied shortest paths with
 ``nx.all_shortest_paths`` before picking one at random.  On grid topologies
 the number of tied paths grows combinatorially with distance, which is
 exactly the cost the cached predecessor-DAG sampler removes.  It is kept so
-that
+that ``tests/test_routing_fastpath.py`` can assert that the sampled tied-path
+distribution matches the enumerate-then-choose distribution.
 
-* ``benchmarks/bench_compiler_speed.py`` can report the before/after compile
-  throughput against the real baseline, and
-* ``tests/test_routing_fastpath.py`` can assert that the sampled tied-path
-  distribution matches the enumerate-then-choose distribution.
+It is a distribution reference, not a byte reference: the library no longer
+uses networkx, so this module builds its own ``nx.Graph`` from the map's
+sorted edge list (once per map), and that graph's neighbour order — hence
+which tied path a deterministic query returns — need not match the map's.
 
-It is a distribution and cost reference, not a byte reference: the library
-no longer uses networkx, so this module builds its own ``nx.Graph`` from the
-map's sorted edge list (once per map, so the timing is not inflated by
-rebuilds), and that graph's neighbour order — hence which tied path a
-deterministic query returns — need not match the map's.
-
-Do not "optimize" this module — its slowness is the point.
+Do not "optimize" this module — it is the reference the fast path is checked
+against.
 """
 
 from __future__ import annotations

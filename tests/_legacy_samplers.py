@@ -2,14 +2,12 @@
 
 These are faithful ports of the original ``PauliTrajectorySampler`` and
 ``GateFailureSampler`` implementations, which evolved one statevector per shot
-in a Python loop.  They are kept verbatim so that
+in a Python loop.  They are kept verbatim so that ``tests/test_sim_batched.py``
+can assert that the batched engine samples the same distributions (within a
+total-variation-distance tolerance).
 
-* ``benchmarks/bench_sim_throughput.py`` can report the before/after
-  shots-per-second of the batched engine against the real baseline, and
-* ``tests/test_sim_batched.py`` can assert that the batched engine samples the
-  same distributions (within a total-variation-distance tolerance).
-
-Do not "optimize" this module — its slowness is the point.
+Do not "optimize" this module — it is the reference the fast path is checked
+against.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ The table is written by ``benchmarks/freeze_fig9_10_reference.py`` (the same
 script that writes the level-1 Fig 9/10 reference).  Levels 0 and 2, the
 ``greedy-depth`` flow and the Toffoli configurations are checked in full;
 level 3 on a fixed subset of cells, because all 88 level-3 compiles take
-several seconds (CI reruns the whole script and diffs ``tests/data/``).
+several seconds (CI reruns the whole script, which also asserts the level-3
+contract on every cell, and diffs ``tests/data/``).  The pinned level-3 cells
+are also checked against level 2: never more CNOTs, never greater depth.
 """
 
 import importlib.util
@@ -99,6 +101,9 @@ def test_level_3_matches_on_the_pinned_cells(frozen):
         for method in ("baseline", "trios"):
             result = freeze.compile_level(coupling_map, name, method, 3, validate=False)
             _check(frozen, freeze.level_key(label, name, method, 3), result.circuit)
+            level2 = freeze.compile_level(coupling_map, name, method, 2, validate=False)
+            assert result.two_qubit_gate_count <= level2.two_qubit_gate_count
+            assert result.depth <= level2.depth
             checked += 1
     assert checked == 2 * (4 * len(LEVEL3_ALL_TOPOLOGIES) + len(LEVEL3_JOHANNESBURG))
 

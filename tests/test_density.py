@@ -26,7 +26,10 @@ from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit
 from repro.exceptions import ReproError, SimulationError
-from repro.experiments.benchmarks import run_benchmark_experiment
+from repro.experiments.benchmarks import (
+    compile_benchmark_cached,
+    run_benchmark_experiment,
+)
 from repro.experiments.toffoli import (
     CONFIGURATIONS,
     compile_configuration,
@@ -181,43 +184,57 @@ class TestNoiseSemantics:
 
         The trajectory sampler draws from exactly the distribution the density
         backend computes, so the empirical TVD must stay within 3x its own
-        expected shot-noise scale, and the |111⟩ success probability within
-        3σ of a Bernoulli estimate.
+        expected shot-noise scale, and the success probability within 3σ of
+        a Bernoulli estimate.  Besides the compiled Toffoli configurations,
+        the raw 4-qubit Toffoli and the compiled ``cnx_inplace-4`` sweep cell
+        (success = its most likely outcome) are checked the same way.
         """
         coupling_map = johannesburg()
         shots = 4096
-        checked = 0
+        cases = [("toffoli-4q", toffoli_workload(), [0, 1, 2], "110")]
         for triplet in SMALL_TRIPLETS:
             placement = {0: triplet[0], 1: triplet[1], 2: triplet[2]}
             for configuration in CONFIGURATIONS:
                 compiled = compile_configuration(
                     configuration, coupling_map, placement, seed=7
                 )
-                circuit = compiled.circuit.without(["measure"])
-                measured = compiled.physical_qubits_of([0, 1, 2])
-                exact = DensityMatrixSimulator(hardware_calibration).run_probabilities(
-                    circuit, measured_qubits=measured
-                )
-                sampled = PauliTrajectorySampler(
-                    hardware_calibration, seed=13
-                ).run_counts(circuit, shots=shots, measured_qubits=measured)
-                # Success probability: 3σ Bernoulli band.
-                p = exact.get("111", 0.0)
-                sigma = math.sqrt(p * (1 - p) / shots)
-                assert abs(sampled.success_rate("111") - p) <= 3 * sigma + 1e-12
-                # Whole distribution: 3x the expected multinomial TVD scale.
-                keys = set(exact) | set(sampled.counts)
-                tvd = 0.5 * sum(
-                    abs(exact.get(k, 0.0) - sampled.counts.get(k, 0) / shots)
-                    for k in keys
-                )
-                tvd_scale = 0.5 * sum(
-                    math.sqrt(exact.get(k, 0.0) * (1 - exact.get(k, 0.0)) / shots)
-                    for k in keys
-                )
-                assert tvd <= 3 * tvd_scale, (triplet, configuration, tvd, tvd_scale)
-                checked += 1
-        assert checked == len(SMALL_TRIPLETS) * len(CONFIGURATIONS)
+                cases.append((
+                    (triplet, configuration),
+                    compiled.circuit.without(["measure"]),
+                    compiled.physical_qubits_of([0, 1, 2]),
+                    "111",
+                ))
+        compiled = compile_benchmark_cached("cnx_inplace-4", coupling_map, "trios", 11)
+        cases.append((
+            "cnx_inplace-4",
+            compiled.circuit.without(["measure"]),
+            compiled.physical_qubits_of([0, 1, 2, 3]),
+            None,
+        ))
+        for label, circuit, measured, success in cases:
+            exact = DensityMatrixSimulator(hardware_calibration).run_probabilities(
+                circuit, measured_qubits=measured
+            )
+            sampled = PauliTrajectorySampler(
+                hardware_calibration, seed=13
+            ).run_counts(circuit, shots=shots, measured_qubits=measured)
+            success = success or max(exact, key=exact.get)
+            # Success probability: 3σ Bernoulli band.
+            p = exact.get(success, 0.0)
+            sigma = math.sqrt(p * (1 - p) / shots)
+            assert abs(sampled.success_rate(success) - p) <= 3 * sigma + 1e-12, label
+            # Whole distribution: 3x the expected multinomial TVD scale.
+            keys = set(exact) | set(sampled.counts)
+            tvd = 0.5 * sum(
+                abs(exact.get(k, 0.0) - sampled.counts.get(k, 0) / shots)
+                for k in keys
+            )
+            tvd_scale = 0.5 * sum(
+                math.sqrt(exact.get(k, 0.0) * (1 - exact.get(k, 0.0)) / shots)
+                for k in keys
+            )
+            assert tvd <= 3 * tvd_scale, (label, tvd, tvd_scale)
+        assert len(cases) == len(SMALL_TRIPLETS) * len(CONFIGURATIONS) + 2
 
 
 # ----------------------------------------------------------------------

@@ -99,6 +99,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["compile", "cnx_inplace-4", "--pipeline", "nonesuch"])
 
+    def test_compile_command_has_no_jobs_option(self):
+        # The level-3 search is one in-process loop; there is no worker count.
+        with pytest.raises(SystemExit):
+            main(["compile", "cnx_inplace-4", "--topology", "line-20",
+                  "--optimization-level", "3", "--jobs", "2"])
+
     def test_toffoli_exact_density(self, capsys):
         assert main(["toffoli", "--triplets", "2", "--seed", "2", "--exact"]) == 0
         output = capsys.readouterr().out

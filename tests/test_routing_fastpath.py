@@ -13,7 +13,7 @@ tests' oracle.  These tests pin down the contract:
 * the sampled tied path is uniform over the enumerated tied-path set
   (chi-square), and
 * stochastic routing agrees with the frozen enumerate-then-choose picker
-  (``benchmarks/_legacy_routing.py``) on the Figure 9/10 CNOT-reduction
+  (``tests/_legacy_routing.py``) on the Figure 9/10 CNOT-reduction
   geomeans (different RNG streams, same distribution).
 """
 
@@ -22,6 +22,7 @@ import importlib.util
 import random
 from pathlib import Path
 
+import _legacy_routing as _legacy
 import networkx as nx
 import numpy as np
 import pytest
@@ -52,7 +53,6 @@ def _load(name):
     return module
 
 
-_legacy = _load("_legacy_routing")
 _freeze = _load("freeze_fig9_10_reference")
 
 TOPOLOGIES = {

@@ -4,9 +4,8 @@ Every fault here is injected through the deterministic
 :class:`~repro.runtime.FaultPlan` layer, so worker crashes, hangs, transient
 exceptions and corrupted results replay identically on every run.  Crash and
 hang faults fire only inside pool worker processes — the in-process serial
-paths (serial mode, the ``on_error="serial"`` fallback, the level-3 base-seed
-recovery) are immune by construction, which is exactly the degradation story
-the runtime promises.
+paths (serial mode and the ``on_error="serial"`` fallback) are immune by
+construction, which is exactly the degradation story the runtime promises.
 """
 
 from __future__ import annotations
@@ -17,12 +16,9 @@ import time
 
 import pytest
 
-from repro.circuits import QuantumCircuit
-from repro.compiler import transpile
 from repro.exceptions import ExecutionError, FaultInjectionError
 from repro.experiments import run_sensitivity_experiment
 from repro.experiments.report import format_failure_summary
-from repro.hardware import johannesburg
 from repro.runtime import (
     CellRunner,
     FailurePolicy,
@@ -224,8 +220,8 @@ class TestPoolRunner:
             3: [Fault("crash", attempts=(1,))],
             6: [Fault("crash")],
         })
-        # retries=3 leaves innocent cells enough budget to absorb being
-        # implicated in several of cell 6's pool breaks.
+        # A break with several cells in flight charges none of them; each is
+        # rerun alone, so only cell 6 spends its retries=3 budget.
         runner = CellRunner(
             jobs=4, policy=FailurePolicy(retries=3, on_error="skip", **FAST),
             faults=plan,
@@ -237,6 +233,36 @@ class TestPoolRunner:
         assert records[6].error.type_name == "WorkerCrash"
         assert records[3].ok and records[3].retried
         serial = CellRunner(jobs=1, faults=None).run(PAYLOADS, square_cell)
+        for record, reference in zip(records, serial):
+            if record.ok:
+                assert pickle.dumps(record.value) == pickle.dumps(reference.value)
+
+    def test_crash_charges_only_the_culprit(self):
+        # A scaled-down crash sweep: cell 3 crashes once, cell 11 on every
+        # attempt.  Cells sleep, so another cell is always in flight when a
+        # worker dies.  With one retry, any innocent charged for two breaks
+        # would be lost; no innocent may be charged for any.
+        plan = FaultPlan.of({
+            3: [Fault("crash", attempts=(1,))],
+            11: [Fault("crash")],
+        })
+        runner = CellRunner(
+            jobs=2, policy=FailurePolicy(retries=1, on_error="skip", **FAST),
+            faults=plan,
+        )
+        payloads = list(range(16))
+        with pytest.warns(RuntimeWarning, match="worker process died"):
+            records = runner.run(payloads, slow_cell)
+        labels = [f"cell-{index}" for index in payloads]
+        failures = failure_records(records, labels)
+        assert [(f.label, f.status, f.attempts) for f in failures] == [
+            ("cell-11", "crashed", 2)
+        ]
+        assert records[3].ok and records[3].attempts == 2
+        assert all(
+            record.attempts == 1 for record in records if record.index not in (3, 11)
+        )
+        serial = CellRunner(jobs=1, faults=None).run(payloads, slow_cell)
         for record, reference in zip(records, serial):
             if record.ok:
                 assert pickle.dumps(record.value) == pickle.dumps(reference.value)
@@ -348,70 +374,6 @@ class TestFailureRecords:
         table = format_failure_summary(failures)
         assert "b" in table and "failed" in table and "flaky sim" in table
         assert format_failure_summary([]) == "(no failed cells)"
-
-
-# ----------------------------------------------------------------------
-# Level-3 seed search on the runtime
-# ----------------------------------------------------------------------
-class TestSeedSearchRecovery:
-    def _program(self):
-        circuit = QuantumCircuit(4, "prog")
-        circuit.h(0).cx(0, 1).ccx(0, 1, 2).t(2).cx(2, 3)
-        return circuit
-
-    def test_all_candidate_workers_killed_base_seed_survives(self, monkeypatch):
-        device = johannesburg()
-        reference = transpile(
-            self._program(), device, method="trios", seed=5,
-            optimization_level=3, seed_trials=1,
-        )
-        # Kill the worker of every candidate seed on every attempt.  The
-        # search must recompile the base seed in-process and return exactly
-        # its result instead of failing.
-        plan = FaultPlan.of({i: [Fault("crash")] for i in range(3)})
-        monkeypatch.setenv(FAULTS_ENV_VAR, plan.to_json())
-        with pytest.warns(RuntimeWarning, match="worker process died"):
-            survived = transpile(
-                self._program(), device, method="trios", seed=5,
-                optimization_level=3, seed_trials=3, jobs=2,
-            )
-        assert survived.circuit == reference.circuit
-        search = survived.seed_search
-        assert search["chosen_index"] == 0
-        assert len(search["failed_seeds"]) == 3
-        base_failure = next(
-            f for f in search["failed_seeds"] if f["seed"] == 5
-        )
-        assert base_failure["recovered_serially"]
-        assert all(f["status"] == "crashed" for f in search["failed_seeds"])
-
-    def test_one_candidate_dropped_others_searched(self, monkeypatch):
-        device = johannesburg()
-        fault_free = transpile(
-            self._program(), device, method="trios", seed=5,
-            optimization_level=3, seed_trials=3, jobs=2,
-        )
-        # Kill only the second candidate; the search proceeds over the rest.
-        plan = FaultPlan.single(1, Fault("crash"))
-        monkeypatch.setenv(FAULTS_ENV_VAR, plan.to_json())
-        with pytest.warns(RuntimeWarning, match="worker process died"):
-            partial = transpile(
-                self._program(), device, method="trios", seed=5,
-                optimization_level=3, seed_trials=3, jobs=2,
-            )
-        search = partial.seed_search
-        killed = fault_free.seed_search["seeds"][1]
-        failed = {f["seed"]: f for f in search["failed_seeds"]}
-        # The faulted candidate is dropped, never retried into the results.
-        assert failed[killed]["status"] == "crashed"
-        surviving = {c["seed"] for c in search["candidates"]}
-        assert killed not in surviving
-        # The base seed always survives — either its pool worker finished
-        # (it was merely implicated in a break and retried) or the search
-        # recompiled it in-process.
-        assert 5 in surviving
-        if 5 in failed:
-            assert failed[5]["recovered_serially"]
 
 
 # ----------------------------------------------------------------------

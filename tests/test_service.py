@@ -128,7 +128,6 @@ def option_sets(draw, like=None):
         choices["overlap_optimization"] = [None, True, False]
     if level == 3:
         choices["seed_trials"] = [None, 2, 4]
-        choices["jobs"] = [1, 2, 0]
     redrawn = set(choices)
     if like is not None:
         redrawn = draw(st.sets(st.sampled_from(sorted(choices)), max_size=2))
@@ -246,7 +245,7 @@ class TestCompileJobKeys:
 
     def test_non_semantic_options_do_not_fragment_the_key(self):
         assert self.key(validate=False) == self.key()
-        assert self.key("trios", optimization_level=3, jobs=4) == self.key(
+        assert self.key("trios", optimization_level=3, validate=False) == self.key(
             "trios", optimization_level=3
         )
 
@@ -278,7 +277,17 @@ class TestCompileJobKeys:
         with pytest.raises(ServiceRequestError, match="calibration"):
             job("baseline", noise_aware=True)
 
-    @pytest.mark.parametrize("name", ["optimization_level", "seed", "seed_trials", "jobs"])
+    def test_worker_count_is_an_unknown_option_at_every_level(self):
+        # The level-3 search runs in-process: a ``jobs`` option is refused
+        # (HTTP 400) instead of being dropped from the key.
+        for level in (1, 2, 3):
+            with pytest.raises(ServiceRequestError, match="unknown transpile option"):
+                CompileJob.from_circuit(
+                    get_benchmark("cnx_inplace-4"), tiny_line(), "trios",
+                    optimization_level=level, jobs=2,
+                )
+
+    @pytest.mark.parametrize("name", ["optimization_level", "seed", "seed_trials"])
     @pytest.mark.parametrize("value", [True, 1.0, "1"])
     def test_integer_options_reject_bool_float_and_str(self, name, value):
         # 1, True and 1.0 once rendered as three different keys.
@@ -299,7 +308,7 @@ class TestCompileJobKeys:
         )
         a = TranspileOptions.resolve(a_method, a_options)
         b = TranspileOptions.resolve(b_method, b_options)
-        same = replace(a, jobs=1, validate=True) == replace(b, jobs=1, validate=True)
+        same = replace(a, validate=True) == replace(b, validate=True)
         assert (self.key(a_method, **a_options) == self.key(b_method, **b_options)) == same
 
     def test_execute_compile_job_runs_the_jobs_own_options(self, monkeypatch):
@@ -751,14 +760,14 @@ class TestCompileService:
         assert service.stats.errors == 2 * len(bad)
 
     def test_invalid_request_never_fails_a_coalesced_valid_one(self):
-        # jobs=3 at level 1 once shared the default key, coalesced with the
-        # valid request and failed it.
+        # A level-3-only knob at level 1 once shared the default key,
+        # coalesced with the valid request and failed it.
         async def scenario():
             service = CompileService(pool_jobs=1)
             await service.start()
             try:
                 return await asyncio.gather(
-                    service.compile(make_request(jobs=3)),
+                    service.compile(make_request(seed_trials=3)),
                     service.compile(make_request()),
                     return_exceptions=True,
                 ), service

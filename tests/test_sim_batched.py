@@ -4,16 +4,17 @@ The batched samplers draw the same distributions as the original per-shot
 implementations — only the order of RNG consumption changed — so seeded runs
 of both must agree within a total-variation-distance (TVD) tolerance.  The
 reference samplers are the seed repository's per-shot loops, frozen verbatim
-in ``benchmarks/_legacy_samplers.py`` (shared with the throughput benchmark).
+in ``tests/_legacy_samplers.py``.  What made the batched engines fast is pinned
+structurally: one statevector evolution per unique error pattern (trajectory)
+or per run (gate failure), never one per shot.
 """
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
+from _legacy_samplers import LegacyGateFailureSampler as ReferenceGateFailureSampler
+from _legacy_samplers import LegacyTrajectorySampler as ReferenceTrajectorySampler
 
 from repro.circuits import QuantumCircuit
 from repro.exceptions import SimulationError
@@ -28,13 +29,6 @@ from repro.sim import (
     marginal_probabilities,
 )
 from repro.sim.statevector import zero_state
-
-_LEGACY_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "_legacy_samplers.py"
-_spec = importlib.util.spec_from_file_location("_legacy_samplers", _LEGACY_PATH)
-_legacy = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_legacy)
-ReferenceTrajectorySampler = _legacy.LegacyTrajectorySampler
-ReferenceGateFailureSampler = _legacy.LegacyGateFailureSampler
 
 
 def total_variation_distance(a: NoisyResult, b: NoisyResult) -> float:
@@ -112,6 +106,57 @@ class TestBatchedEquivalence:
             toffoli_workload(), shots=1
         )
         assert sum(result.counts.values()) == 1
+
+
+class TestBatchedWork:
+    """The batched engines evolve a statevector per group of shots, not per shot.
+
+    The workload is the per-shot loop's old speed bar: the 4-qubit Toffoli at
+    1024 shots under the 2020-08-19 Johannesburg calibration.
+    """
+
+    SHOTS = 1024
+
+    def test_trajectory_evolves_once_per_unique_error_pattern(
+        self, hardware_calibration, monkeypatch
+    ):
+        sampler = PauliTrajectorySampler(hardware_calibration, seed=0)
+        drawn, evolved = [], []
+        draw = sampler._sample_error_patterns
+        evolve = sampler._pattern_probabilities
+
+        def spy_draw(gates, shots):
+            patterns = draw(gates, shots)
+            drawn.extend(patterns)
+            return patterns
+
+        def spy_evolve(placed, num_qubits, pattern):
+            evolved.append(pattern)
+            return evolve(placed, num_qubits, pattern)
+
+        monkeypatch.setattr(sampler, "_sample_error_patterns", spy_draw)
+        monkeypatch.setattr(sampler, "_pattern_probabilities", spy_evolve)
+        result = sampler.run(toffoli_workload(), shots=self.SHOTS)
+        assert sum(result.counts.values()) == self.SHOTS
+        assert sorted(evolved) == sorted(set(drawn))
+        assert len(evolved) < self.SHOTS
+
+    def test_failure_sampler_evolves_once_per_run(
+        self, hardware_calibration, monkeypatch
+    ):
+        evolutions = []
+        probabilities = StatevectorSimulator.probabilities
+
+        def spy(self, *args, **kwargs):
+            evolutions.append(args)
+            return probabilities(self, *args, **kwargs)
+
+        monkeypatch.setattr(StatevectorSimulator, "probabilities", spy)
+        result = GateFailureSampler(hardware_calibration, seed=0).run(
+            toffoli_workload(), shots=self.SHOTS
+        )
+        assert sum(result.counts.values()) == self.SHOTS
+        assert len(evolutions) == 1
 
 
 class TestSimulationBackendProtocol:

@@ -4,13 +4,17 @@ list-IR → DAG-IR refactor."""
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from tests.conftest import assert_compilation_equivalent
 
+import repro
 from repro import QuantumCircuit, Target, transpile
 from repro.bench_circuits.suite import PAPER_BENCHMARKS, get_benchmark
 from repro.compiler import check_connectivity
@@ -344,17 +348,37 @@ class TestOptimizationLevel3:
         level1 = transpile(self._program(), johannesburg_map, seed=5)
         assert level1.seed_search is None
 
-    def test_parallel_search_equals_serial(self, johannesburg_map):
-        serial = transpile(
+    def test_seed_search_record_holds_only_the_candidates(self, johannesburg_map):
+        # Every candidate is compiled in-process, so the record carries no
+        # worker count, failed seeds or serial-recovery flags.
+        result = transpile(
             self._program(), johannesburg_map, method="trios", seed=5,
-            optimization_level=3,
+            optimization_level=3, seed_trials=3,
         )
-        parallel = transpile(
-            self._program(), johannesburg_map, method="trios", seed=5,
-            optimization_level=3, jobs=3,
+        search = result.seed_search
+        assert set(search) == {
+            "seeds", "chosen_seed", "chosen_index", "prefix_stages", "candidates",
+        }
+        assert len(search["candidates"]) == len(search["seeds"]) == 3
+        for candidate in search["candidates"]:
+            assert set(candidate) == {
+                "seed", "cnots", "depth", "estimated_success", "admissible",
+            }
+
+    def test_compiler_does_not_load_the_runtime(self):
+        # The seed search is a plain loop; importing the compiler (or the
+        # package) must not pull in the worker-pool runtime.
+        code = (
+            "import sys, repro, repro.compiler; "
+            "sys.exit(any(m.startswith('repro.runtime') for m in sys.modules))"
         )
-        assert serial.circuit == parallel.circuit
-        assert serial.seed_search["chosen_seed"] == parallel.seed_search["chosen_seed"]
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run([sys.executable, "-c", code], env=env)
+        assert completed.returncode == 0
 
     def test_prefix_reuse_is_byte_identical_to_full_per_seed_pipeline(
         self, johannesburg_map
@@ -388,9 +412,9 @@ class TestOptimizationLevel3:
                 prefix_names, ctx
             ).run(program)
             for candidate_seed in _candidate_seeds(5, 3):
-                reference = _seed_candidate((ctx, program, None, candidate_seed))
+                reference = _seed_candidate(ctx, program, None, candidate_seed)
                 reused = _seed_candidate(
-                    (ctx, pre_circuit, pre_properties, candidate_seed)
+                    ctx, pre_circuit, pre_properties, candidate_seed
                 )
                 assert canonical_bytes(reused[0]) == canonical_bytes(reference[0])
                 # cnots, depth, estimated success — the admissibility inputs.
@@ -414,8 +438,6 @@ class TestOptimizationLevel3:
 
     def test_search_knobs_rejected_below_level3(self, johannesburg_map):
         with pytest.raises(TranspilerError, match="no effect"):
-            transpile(self._program(), johannesburg_map, optimization_level=2, jobs=2)
-        with pytest.raises(TranspilerError, match="no effect"):
             transpile(
                 self._program(), johannesburg_map, optimization_level=1,
                 seed_trials=2,
@@ -427,6 +449,9 @@ class TestOptimizationLevel3:
                 self._program(), johannesburg_map, optimization_level=3,
                 seed_trials=0,
             )
+        # The search runs in-process: no worker-count option at any level.
+        with pytest.raises(TranspilerError, match="unknown transpile option"):
+            transpile(self._program(), johannesburg_map, optimization_level=3, jobs=2)
 
     def test_level3_output_respects_coupling_map(self, johannesburg_map):
         result = transpile(
