@@ -12,20 +12,30 @@ Two claims, both asserted:
   cell's value equals the fault-free serial run's, and the lost cell is
   reported as a structured failure record instead of an exception.
 
-Run with::
+Run it alone with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_runtime.py -q -s
 
-or standalone (prints the comparison, asserts both bars and writes the
-``build/bench/BENCH_runtime.json`` trajectory file with the failure records)::
+(collected after a module that imports numpy, the BLAS pin below comes too
+late), or standalone (prints the comparison, asserts both bars and writes
+the ``build/bench/BENCH_runtime.json`` trajectory file with the failure
+records)::
 
     PYTHONPATH=src python benchmarks/bench_runtime.py
 """
 
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+
+# One BLAS thread per process, in both arms.  The pin must precede numpy's
+# first import (it does when the script runs standalone): with BLAS's default
+# thread pool, four workers' matrix products oversubscribe the cores, and the
+# overhead bar then measures that contention instead of the runner.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -51,6 +61,10 @@ REPEATS = 3
 OVERHEAD_BAR = 1.05
 
 
+#: Products per cell: about 30 ms of single-threaded work (2 CPUs, OpenBLAS).
+CELL_PRODUCTS = 280
+
+
 def simulation_cell(payload):
     """A deterministic ~30ms stand-in for one experiment cell.
 
@@ -59,7 +73,7 @@ def simulation_cell(payload):
     """
     rng = np.random.default_rng(payload)
     matrix = rng.standard_normal((110, 110))
-    for _ in range(14):
+    for _ in range(CELL_PRODUCTS):
         matrix = np.tanh(matrix @ matrix.T / 110.0)
     return float(matrix.sum())
 

@@ -12,12 +12,13 @@ integers and are only produced by ``measure`` instructions.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import CircuitError
 from . import library
-from .gate import Gate
+from .gate import Gate, exact_bits
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,46 @@ class Instruction:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Instruction({self.gate!r}, qubits={self.qubits})"
+
+
+#: Entries in the table of placed instructions.  A Figure 9/10 level-1 sweep
+#: asks for about 75,000 instructions but only 921 distinct ones; the table
+#: lives for the whole process (a long-running server included), so it is
+#: bounded, and emptied wholesale when full.
+PLACED_TABLE_SIZE = 4096
+
+_PLACED: Dict[tuple, Instruction] = {}
+#: Serialises inserts, so threads compiling at once never overfill the table.
+_PLACED_INSERT = threading.Lock()
+
+
+def placed(gate: Gate, qubits: Tuple[int, ...], clbits: Tuple[int, ...] = ()) -> Instruction:
+    """``Instruction(gate, qubits, clbits)``, built once and shared.
+
+    Every compile pass takes the instructions it emits from this one
+    process-wide table: instructions are immutable, so one object serves
+    every circuit that places the same gate on the same wires.  A miss builds
+    the entry through :class:`Instruction`, so every check runs; an error is
+    raised on every call and never stored.
+
+    The key is the gate's fields, not the :class:`Gate`, whose hash runs in
+    Python.  Its parameters are keyed by value unless one equals zero: only
+    ``-0.0`` and ``0.0`` compare equal with different bits, so those keys hold
+    the exact bits instead.
+    """
+    params = gate.params
+    key = (
+        gate.name, gate.num_qubits, exact_bits(params) if 0.0 in params else params,
+        qubits, clbits,
+    )
+    instruction = _PLACED.get(key)
+    if instruction is None:
+        instruction = Instruction(gate, qubits, clbits)
+        with _PLACED_INSERT:
+            if len(_PLACED) >= PLACED_TABLE_SIZE:
+                _PLACED.clear()
+            _PLACED[key] = instruction
+    return instruction
 
 
 def interaction_graph(

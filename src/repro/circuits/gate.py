@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -154,6 +155,17 @@ class Gate:
             args = ", ".join(f"{p:.6g}" for p in self.params)
             return f"Gate({self.name}({args}), qubits={self.num_qubits})"
         return f"Gate({self.name}, qubits={self.num_qubits})"
+
+
+# Little-endian IEEE-754 doubles, one layout per parameter count.
+_PARAM_LAYOUTS = tuple(struct.Struct(f"<{count}d") for count in range(4))
+
+
+def exact_bits(params: Tuple[float, ...]) -> bytes:
+    """The parameters' IEEE-754 bits: unlike ``==``, tells ``-0.0`` from ``0.0``."""
+    count = len(params)
+    layout = _PARAM_LAYOUTS[count] if count < 4 else struct.Struct(f"<{count}d")
+    return layout.pack(*params)
 
 
 #: Interned read-only matrices of parameter-free gates, keyed by name.

@@ -103,13 +103,13 @@ class BenchmarkExperimentResult:
 
     # Aggregates over the Toffoli-containing benchmarks, as in the figures.
     def geomean_cnot_reduction(self, topology: str) -> float:
-        rows = self._toffoli_rows(topology)
+        rows = self.toffoli_rows(topology)
         return 1.0 - geometric_mean(
             max(r.trios_cnots, 1) / max(r.baseline_cnots, 1) for r in rows
         )
 
     def geomean_success(self, topology: str, method: str) -> float:
-        rows = self._toffoli_rows(topology)
+        rows = self.toffoli_rows(topology)
         if method == "baseline":
             return geometric_mean(r.baseline_success for r in rows)
         if method == "trios":
@@ -117,10 +117,11 @@ class BenchmarkExperimentResult:
         raise ReproError(f"unknown method {method!r}")
 
     def geomean_success_ratio(self, topology: str) -> float:
-        rows = self._toffoli_rows(topology)
+        rows = self.toffoli_rows(topology)
         return geometric_mean(min(r.success_ratio, 1e9) for r in rows)
 
-    def _toffoli_rows(self, topology: str) -> List[BenchmarkComparison]:
+    def toffoli_rows(self, topology: str) -> List[BenchmarkComparison]:
+        """The Toffoli benchmarks' rows on ``topology``: the geo-means' population."""
         table = self.comparisons[topology]
         return [table[name] for name in table if name in TOFFOLI_BENCHMARKS]
 
@@ -152,11 +153,14 @@ class BenchmarkExperimentResult:
 #: Entries are charged a structural estimate, not their pickled size (one
 #: ``pickle.dumps`` per ``put`` cost ~0.5 ms, a tenth of a Fig 6-8 unit): a
 #: fixed share for the pass spans, layouts and property set plus a share
-#: per compiled instruction.  Both constants are fitted to tracemalloc's
-#: retained bytes over the Table 1 benchmarks and the Fig 6-8 Toffoli cells
-#: (CPython 3.11), which they match within 1.5x.
-_RESULT_BYTES = 5_600
-_INSTRUCTION_BYTES = 112
+#: per compiled instruction.  The passes take their instructions from the
+#: process-wide :func:`~repro.circuits.circuit.placed` table, so an entry
+#: holds references to shared instructions and the per-instruction share is
+#: about one list slot.  Both constants are fitted to tracemalloc's retained
+#: bytes over the Table 1 benchmarks on ibmq-johannesburg and four Fig 6-8
+#: Toffoli cells, both pipelines (CPython 3.11), which they match within 1.3x.
+_RESULT_BYTES = 6_500
+_INSTRUCTION_BYTES = 11
 
 
 def compile_result_size(key: str, result: CompilationResult) -> int:

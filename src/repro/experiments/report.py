@@ -86,6 +86,17 @@ def format_toffoli_normalized(result: ToffoliExperimentResult) -> str:
     return _format_table(headers, rows)
 
 
+#: A geo-mean cell over no rows.  A backend that cannot simulate a cell skips
+#: its row, so a topology's column can be empty, and a geo-mean over nothing
+#: is undefined.
+_NO_ROWS = "— (0 rows)"
+
+
+def _benchmark_names(result: BenchmarkExperimentResult) -> List[str]:
+    """Every benchmark with a row on any topology, in first-seen order."""
+    return list(dict.fromkeys(name for table in result.comparisons.values() for name in table))
+
+
 def format_benchmark_success(result: BenchmarkExperimentResult) -> str:
     """Figure 9: simulated success probability, baseline vs Trios, per topology."""
     lines: List[str] = []
@@ -97,10 +108,10 @@ def format_benchmark_success(result: BenchmarkExperimentResult) -> str:
             for name, cmp in table.items()
         ]
         rows.append(
-            (
-                "geo-mean (toffoli only)",
-                f"{result.geomean_success(topology, 'baseline'):.4f}",
-                f"{result.geomean_success(topology, 'trios'):.4f}",
+            ("geo-mean (toffoli only)",) + tuple(
+                f"{result.geomean_success(topology, method):.4f}"
+                if result.toffoli_rows(topology) else _NO_ROWS
+                for method in ("baseline", "trios")
             )
         )
         lines.append(f"== {topology} ==")
@@ -113,9 +124,8 @@ def format_benchmark_reduction(result: BenchmarkExperimentResult) -> str:
     """Figure 10: percent fewer CNOT gates with Trios, per topology."""
     topologies = result.topologies()
     headers = ("benchmark",) + tuple(topologies)
-    benchmarks = list(result.comparisons[topologies[0]])
     rows = []
-    for name in benchmarks:
+    for name in _benchmark_names(result):
         row = [name]
         for topology in topologies:
             comparison = result.comparisons[topology].get(name)
@@ -123,7 +133,10 @@ def format_benchmark_reduction(result: BenchmarkExperimentResult) -> str:
         rows.append(row)
     rows.append(
         ["geo-mean (toffoli only)"]
-        + [f"{result.geomean_cnot_reduction(t) * 100:.1f}%" for t in topologies]
+        + [
+            f"{result.geomean_cnot_reduction(t) * 100:.1f}%" if result.toffoli_rows(t) else _NO_ROWS
+            for t in topologies
+        ]
     )
     return _format_table(headers, rows)
 
@@ -132,9 +145,8 @@ def format_benchmark_normalized(result: BenchmarkExperimentResult) -> str:
     """Figure 11: Trios success normalised to the baseline, per topology."""
     topologies = result.topologies()
     headers = ("benchmark",) + tuple(topologies)
-    benchmarks = list(result.comparisons[topologies[0]])
     rows = []
-    for name in benchmarks:
+    for name in _benchmark_names(result):
         row = [name]
         for topology in topologies:
             comparison = result.comparisons[topology].get(name)
@@ -142,7 +154,10 @@ def format_benchmark_normalized(result: BenchmarkExperimentResult) -> str:
         rows.append(row)
     rows.append(
         ["geo-mean (toffoli only)"]
-        + [f"{result.geomean_success_ratio(t):.2f}x" for t in topologies]
+        + [
+            f"{result.geomean_success_ratio(t):.2f}x" if result.toffoli_rows(t) else _NO_ROWS
+            for t in topologies
+        ]
     )
     return _format_table(headers, rows)
 

@@ -12,7 +12,7 @@ accept parameters so larger or smaller devices can be studied.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ..exceptions import HardwareError
 from .topology import CouplingMap
@@ -102,11 +102,25 @@ PAPER_TOPOLOGIES = {
 }
 
 
+#: Each paper topology built by :func:`by_name`, shared for the process.
+_SHARED: Dict[str, CouplingMap] = {}
+
+
 def by_name(name: str) -> CouplingMap:
-    """Build one of the paper's topologies by its figure label."""
-    try:
-        return PAPER_TOPOLOGIES[name]()
-    except KeyError as exc:
-        raise HardwareError(
-            f"unknown topology {name!r}; expected one of {sorted(PAPER_TOPOLOGIES)}"
-        ) from exc
+    """One of the paper's topologies by its figure label, built once per process.
+
+    Every call with the same label returns the same map.  A map is immutable
+    after construction, so sharing it is safe, and its distance matrix,
+    predecessor DAGs and path memo stay warm across every compile that uses
+    it (the compile service resolves each request's target here).
+    """
+    shared = _SHARED.get(name)
+    if shared is None:
+        try:
+            builder = PAPER_TOPOLOGIES[name]
+        except KeyError as exc:
+            raise HardwareError(
+                f"unknown topology {name!r}; expected one of {sorted(PAPER_TOPOLOGIES)}"
+            ) from exc
+        shared = _SHARED.setdefault(name, builder())
+    return shared

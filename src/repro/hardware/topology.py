@@ -284,11 +284,20 @@ class CouplingMap:
         # Lazily-built caches; the graph is immutable after construction, so
         # they stay valid for the lifetime of the map.
         self._distance_matrix: Optional[np.ndarray] = None
-        self._dag_cache: Dict[Tuple[int, int, Tuple[int, ...]], _PredecessorDAG] = {}
+        self._dag_cache: Dict[Tuple[int, object, Tuple[int, ...]], _PredecessorDAG] = {}
         self._path_cache: Dict[
-            Tuple[int, int, int, Tuple[int, ...]], Tuple[int, ...]
+            Tuple[int, int, object, Tuple[int, ...]], Tuple[int, ...]
         ] = {}
-        self._weight_tokens: Dict[frozenset, int] = {}
+        self._weight_tokens: Dict[frozenset, frozenset] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The caches are recomputable and grow with use, so pickles (jobs
+        # shipped to pool workers) carry the graph only.
+        state = dict(self.__dict__)
+        state.update(
+            _distance_matrix=None, _dag_cache={}, _path_cache={}, _weight_tokens={}
+        )
+        return state
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -365,15 +374,20 @@ class CouplingMap:
             raise HardwareError(f"qubits {a} and {b} are not connected")
         return value
 
-    def _weight_token(self, weight: Optional[Mapping[Edge, float]]) -> int:
-        """A small cache key identifying an edge-weight variant (0 = unweighted)."""
+    def _weight_token(self, weight: Optional[Mapping[Edge, float]]) -> object:
+        """The cache key of an edge-weight variant (0 = unweighted).
+
+        A weighted variant's token is the first frozenset of its items that
+        reached the map.  ``setdefault`` is atomic, so threads routing on one
+        shared map agree on it, and two different weight maps can never
+        share a token.  Cached hits compare the token by identity.
+        """
         if not weight:
             return 0
         key = frozenset(weight.items())
         token = self._weight_tokens.get(key)
         if token is None:
-            token = len(self._weight_tokens) + 1
-            self._weight_tokens[key] = token
+            token = self._weight_tokens.setdefault(key, key)
         return token
 
     def _predecessor_dag(

@@ -4,6 +4,11 @@ The target basis is IBM's ``{u1, u2, u3, cx}`` (§1).  The pass can be told to
 *keep* selected multi-qubit gates — the Trios flow keeps ``ccx``/``ccz`` intact
 through mapping and routing and only decomposes them afterwards
 (:class:`~repro.passes.toffoli.MappingAwareToffoliDecomposePass`).
+
+A gate's expansion is memoised once on qubits ``0..k-1`` (:func:`_expansion`)
+and placed on the gate's wires piece by piece through the process-wide table
+of placed instructions (:func:`~repro.circuits.circuit.placed`), which also
+builds the template pieces.
 """
 
 from __future__ import annotations
@@ -13,13 +18,13 @@ import math
 import struct
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from ..circuits.circuit import Instruction
+from ..circuits.circuit import Instruction, placed
 from ..circuits.dag import DagCircuit
-from ..circuits.gate import Gate
+from ..circuits.gate import Gate, exact_bits
 from ..circuits import library
 from ..exceptions import TranspilerError
 from .base import PropertySet, TransformationPass
-from .synthesis import exact_bits, u3_from_matrix
+from .synthesis import u3_from_matrix
 from .toffoli import toffoli_6cnot, toffoli_8cnot_line, ccz_6cnot, ccz_8cnot_line
 
 #: Default hardware basis (plus SWAP, which routing inserts and a later pass expands).
@@ -30,20 +35,20 @@ _PI = math.pi
 # Direct translations of common one-qubit gates into u1/u2/u3 (avoids numerics).
 _ONE_QUBIT_RULES: Dict[str, callable] = {
     "id": lambda params: [],
-    "x": lambda params: [Instruction(library.u3_gate(_PI, 0.0, _PI), (0,))],
-    "y": lambda params: [Instruction(library.u3_gate(_PI, _PI / 2, _PI / 2), (0,))],
-    "z": lambda params: [Instruction(library.u1_gate(_PI), (0,))],
-    "h": lambda params: [Instruction(library.u2_gate(0.0, _PI), (0,))],
-    "s": lambda params: [Instruction(library.u1_gate(_PI / 2), (0,))],
-    "sdg": lambda params: [Instruction(library.u1_gate(-_PI / 2), (0,))],
-    "t": lambda params: [Instruction(library.u1_gate(_PI / 4), (0,))],
-    "tdg": lambda params: [Instruction(library.u1_gate(-_PI / 4), (0,))],
-    "sx": lambda params: [Instruction(library.u3_gate(_PI / 2, -_PI / 2, _PI / 2), (0,))],
-    "sxdg": lambda params: [Instruction(library.u3_gate(-_PI / 2, -_PI / 2, _PI / 2), (0,))],
-    "rx": lambda params: [Instruction(library.u3_gate(params[0], -_PI / 2, _PI / 2), (0,))],
-    "ry": lambda params: [Instruction(library.u3_gate(params[0], 0.0, 0.0), (0,))],
-    "rz": lambda params: [Instruction(library.u1_gate(params[0]), (0,))],
-    "p": lambda params: [Instruction(library.u1_gate(params[0]), (0,))],
+    "x": lambda params: [placed(library.u3_gate(_PI, 0.0, _PI), (0,))],
+    "y": lambda params: [placed(library.u3_gate(_PI, _PI / 2, _PI / 2), (0,))],
+    "z": lambda params: [placed(library.u1_gate(_PI), (0,))],
+    "h": lambda params: [placed(library.u2_gate(0.0, _PI), (0,))],
+    "s": lambda params: [placed(library.u1_gate(_PI / 2), (0,))],
+    "sdg": lambda params: [placed(library.u1_gate(-_PI / 2), (0,))],
+    "t": lambda params: [placed(library.u1_gate(_PI / 4), (0,))],
+    "tdg": lambda params: [placed(library.u1_gate(-_PI / 4), (0,))],
+    "sx": lambda params: [placed(library.u3_gate(_PI / 2, -_PI / 2, _PI / 2), (0,))],
+    "sxdg": lambda params: [placed(library.u3_gate(-_PI / 2, -_PI / 2, _PI / 2), (0,))],
+    "rx": lambda params: [placed(library.u3_gate(params[0], -_PI / 2, _PI / 2), (0,))],
+    "ry": lambda params: [placed(library.u3_gate(params[0], 0.0, 0.0), (0,))],
+    "rz": lambda params: [placed(library.u1_gate(params[0]), (0,))],
+    "p": lambda params: [placed(library.u1_gate(params[0]), (0,))],
 }
 
 
@@ -54,55 +59,55 @@ def _two_qubit_rule(gate: Gate) -> List[Instruction]:
     params = gate.params
     if name == "cz":
         return [
-            Instruction(library.h_gate(), (b,)),
-            Instruction(library.cx_gate(), (a, b)),
-            Instruction(library.h_gate(), (b,)),
+            placed(library.h_gate(), (b,)),
+            placed(library.cx_gate(), (a, b)),
+            placed(library.h_gate(), (b,)),
         ]
     if name == "cy":
         return [
-            Instruction(library.sdg_gate(), (b,)),
-            Instruction(library.cx_gate(), (a, b)),
-            Instruction(library.s_gate(), (b,)),
+            placed(library.sdg_gate(), (b,)),
+            placed(library.cx_gate(), (a, b)),
+            placed(library.s_gate(), (b,)),
         ]
     if name == "ch":
         return [
-            Instruction(library.s_gate(), (b,)),
-            Instruction(library.h_gate(), (b,)),
-            Instruction(library.t_gate(), (b,)),
-            Instruction(library.cx_gate(), (a, b)),
-            Instruction(library.tdg_gate(), (b,)),
-            Instruction(library.h_gate(), (b,)),
-            Instruction(library.sdg_gate(), (b,)),
+            placed(library.s_gate(), (b,)),
+            placed(library.h_gate(), (b,)),
+            placed(library.t_gate(), (b,)),
+            placed(library.cx_gate(), (a, b)),
+            placed(library.tdg_gate(), (b,)),
+            placed(library.h_gate(), (b,)),
+            placed(library.sdg_gate(), (b,)),
         ]
     if name == "cp":
         theta = params[0]
         return [
-            Instruction(library.u1_gate(theta / 2), (a,)),
-            Instruction(library.cx_gate(), (a, b)),
-            Instruction(library.u1_gate(-theta / 2), (b,)),
-            Instruction(library.cx_gate(), (a, b)),
-            Instruction(library.u1_gate(theta / 2), (b,)),
+            placed(library.u1_gate(theta / 2), (a,)),
+            placed(library.cx_gate(), (a, b)),
+            placed(library.u1_gate(-theta / 2), (b,)),
+            placed(library.cx_gate(), (a, b)),
+            placed(library.u1_gate(theta / 2), (b,)),
         ]
     if name == "crz":
         theta = params[0]
         return [
-            Instruction(library.rz_gate(theta / 2), (b,)),
-            Instruction(library.cx_gate(), (a, b)),
-            Instruction(library.rz_gate(-theta / 2), (b,)),
-            Instruction(library.cx_gate(), (a, b)),
+            placed(library.rz_gate(theta / 2), (b,)),
+            placed(library.cx_gate(), (a, b)),
+            placed(library.rz_gate(-theta / 2), (b,)),
+            placed(library.cx_gate(), (a, b)),
         ]
     if name == "rzz":
         theta = params[0]
         return [
-            Instruction(library.cx_gate(), (a, b)),
-            Instruction(library.rz_gate(theta), (b,)),
-            Instruction(library.cx_gate(), (a, b)),
+            placed(library.cx_gate(), (a, b)),
+            placed(library.rz_gate(theta), (b,)),
+            placed(library.cx_gate(), (a, b)),
         ]
     if name == "swap":
         return [
-            Instruction(library.cx_gate(), (a, b)),
-            Instruction(library.cx_gate(), (b, a)),
-            Instruction(library.cx_gate(), (a, b)),
+            placed(library.cx_gate(), (a, b)),
+            placed(library.cx_gate(), (b, a)),
+            placed(library.cx_gate(), (a, b)),
         ]
     raise TranspilerError(f"no decomposition rule for two-qubit gate {name!r}")
 
@@ -120,9 +125,9 @@ def _three_qubit_rule(gate: Gate, toffoli_mode: str) -> List[Instruction]:
         return ccz_6cnot(0, 1, 2)
     if name == "cswap":
         return [
-            Instruction(library.cx_gate(), (2, 1)),
-            Instruction(library.ccx_gate(), (0, 1, 2)),
-            Instruction(library.cx_gate(), (2, 1)),
+            placed(library.cx_gate(), (2, 1)),
+            placed(library.ccx_gate(), (0, 1, 2)),
+            placed(library.cx_gate(), (2, 1)),
         ]
     raise TranspilerError(f"no decomposition rule for gate {name!r}")
 
@@ -181,9 +186,7 @@ class DecomposeToBasisPass(TransformationPass):
             )
             qubits = instruction.qubits
             for piece in template:
-                out.append(
-                    Instruction(piece.gate, tuple(qubits[q] for q in piece.qubits))
-                )
+                out.append(placed(piece.gate, tuple(map(qubits.__getitem__, piece.qubits))))
             flags.extend([False] * len(template))
             changed = True
         return dag.derive(out, flags) if changed else dag
@@ -195,7 +198,7 @@ def _one_level(gate: Gate, toffoli_mode: str) -> List[Instruction]:
     if gate.num_qubits == 1:
         if name in _ONE_QUBIT_RULES:
             return _ONE_QUBIT_RULES[name](gate.params)
-        return [Instruction(u3_from_matrix(gate.matrix()), (0,))]
+        return [placed(u3_from_matrix(gate.matrix()), (0,))]
     if gate.num_qubits == 2:
         return _two_qubit_rule(gate)
     if gate.num_qubits == 3:
@@ -238,7 +241,7 @@ def _expansion(
             piece_qubits = tuple(qubits[q] for q in piece.qubits)
             piece_name = piece.gate.name
             if piece_name in keep or piece_name in basis or not piece.gate.is_unitary:
-                out.append(Instruction(piece.gate, piece_qubits))
+                out.append(placed(piece.gate, piece_qubits))
             else:
                 expand(piece.gate, piece_qubits, depth + 1, out)
 

@@ -16,22 +16,14 @@ after the first sweep that dropped no identity.
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, List, Tuple
 
-from ..circuits.circuit import Instruction
+from ..circuits.circuit import Instruction, placed
 from ..circuits.dag import DagCircuit
 from ..circuits import library
 from ..circuits.gate import NON_UNITARY_NAMES, SELF_INVERSE_NAMES
 from .base import FixedPoint, PropertySet, TransformationPass
 from .synthesis import merged_run_instruction
-
-
-@functools.lru_cache(maxsize=4096)
-def _swap_cnots(a: int, b: int) -> Tuple[Instruction, ...]:
-    """The three CNOTs of ``swap(a, b)``; instructions are immutable, so shared."""
-    forward = Instruction(library.cx_gate(), (a, b))
-    return (forward, Instruction(library.cx_gate(), (b, a)), forward)
 
 
 class DecomposeSwapsPass(TransformationPass):
@@ -40,12 +32,15 @@ class DecomposeSwapsPass(TransformationPass):
     establishes = ("swaps_expanded",)
 
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
+        cx = library.cx_gate()
         out: List[Instruction] = []
         flags: List[bool] = []
         for instruction, canonical in zip(dag.instructions, dag.canonical_1q):
             if instruction.name == "swap":
-                out.extend(_swap_cnots(*instruction.qubits))
-                flags.extend((False, False, False))
+                a, b = instruction.qubits
+                forward = placed(cx, (a, b))
+                out += (forward, placed(cx, (b, a)), forward)
+                flags += (False, False, False)
             else:
                 out.append(instruction)
                 flags.append(canonical)

@@ -17,15 +17,18 @@ policy samples a uniformly random tied path from the cached predecessor DAG in
 O(path length) instead of enumerating every shortest path (the frozen original
 enumeration lives in ``tests/_legacy_routing.py`` as a reference for the
 sampled distribution, not for the compiled bytes).
+
+Every gate and SWAP the routers emit comes from the process-wide table of
+placed instructions (:func:`~repro.circuits.circuit.placed`), so a gate
+placed on the same physical wires by any compile is one shared object.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from typing import List, Mapping, Optional, Tuple
 
-from ..circuits.circuit import Instruction
+from ..circuits.circuit import Instruction, placed
 from ..circuits.dag import DagCircuit
 from ..circuits import library
 from ..exceptions import HardwareError, RoutingError
@@ -34,12 +37,6 @@ from .base import PropertySet, TransformationPass
 from .layout import Layout
 
 Edge = Tuple[int, int]
-
-
-@functools.lru_cache(maxsize=4096)
-def _swap(a: int, b: int) -> Instruction:
-    """``swap(a, b)``; instructions are immutable, so one object serves every use."""
-    return Instruction(library.swap_gate(), (a, b))
 
 
 class GreedySwapRouter(TransformationPass):
@@ -109,7 +106,7 @@ class GreedySwapRouter(TransformationPass):
             raise RoutingError(
                 f"internal error: SWAP on non-adjacent qubits {physical_a}, {physical_b}"
             )
-        out.append(_swap(physical_a, physical_b))
+        out.append(placed(library.swap_gate(), (physical_a, physical_b)))
         layout.swap_physical(physical_a, physical_b)
 
     def _route_pair(
@@ -152,14 +149,14 @@ class GreedySwapRouter(TransformationPass):
     ) -> int:
         """Route one instruction; returns the number of SWAPs inserted."""
         logical_qubits = instruction.qubits
-        if instruction.name == "barrier" or len(logical_qubits) == 1:
-            physical = tuple(layout.physical(q) for q in logical_qubits)
-            out.append(Instruction(instruction.gate, physical, instruction.clbits))
+        if len(logical_qubits) == 1 or instruction.name == "barrier":
+            physical = tuple(map(layout.physical, logical_qubits))
+            out.append(placed(instruction.gate, physical, instruction.clbits))
             return 0
         if len(logical_qubits) == 2:
             swaps = self._route_pair(out, layout, *logical_qubits)
-            physical = tuple(layout.physical(q) for q in logical_qubits)
-            out.append(Instruction(instruction.gate, physical, instruction.clbits))
+            physical = tuple(map(layout.physical, logical_qubits))
+            out.append(placed(instruction.gate, physical, instruction.clbits))
             return swaps
         return self._route_multi(out, layout, instruction)
 

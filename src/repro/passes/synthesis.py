@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..circuits.circuit import Instruction
-from ..circuits.gate import Gate, unitary_2x2_is_identity
+from ..circuits.gate import Gate, exact_bits, unitary_2x2_is_identity
 from ..exceptions import TranspilerError
 
 
@@ -88,17 +88,6 @@ RUN_SYNTHESIS_MEMO_SIZE = 4096
 # shared read-only identity serves every run.
 _IDENTITY_2X2 = np.eye(2, dtype=complex)
 _IDENTITY_2X2.setflags(write=False)
-
-# Little-endian IEEE-754 doubles, one layout per parameter count.
-_PARAM_LAYOUTS = tuple(struct.Struct(f"<{count}d") for count in range(4))
-
-
-def exact_bits(params: Tuple[float, ...]) -> bytes:
-    """The parameters' IEEE-754 bits: unlike ``==``, tells ``-0.0`` from ``0.0``."""
-    count = len(params)
-    layout = _PARAM_LAYOUTS[count] if count < 4 else struct.Struct(f"<{count}d")
-    return layout.pack(*params)
-
 
 def merged_run_instruction(gates: Sequence[Gate], qubit: int) -> Optional[Instruction]:
     """The ``u3`` instruction a run of one-qubit gates on ``qubit`` merges to.

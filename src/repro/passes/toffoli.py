@@ -14,13 +14,17 @@ pass (Figure 2b): it runs after routing, inspects the hardware connectivity of
 each routed Toffoli and picks the 6-CNOT version when the three physical qubits
 form a triangle and the 8-CNOT version (with the correct middle qubit)
 otherwise.
+
+Every decomposition takes its pieces from the process-wide table of placed
+instructions (:func:`~repro.circuits.circuit.placed`): a Toffoli decomposed
+twice on the same qubits yields the same instruction objects.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..circuits.circuit import Instruction
+from ..circuits.circuit import Instruction, placed
 from ..circuits.dag import DagCircuit
 from ..circuits import library
 from ..exceptions import TranspilerError
@@ -48,38 +52,34 @@ def _substitute_sweep(dag: DagCircuit, decompose) -> DagCircuit:
     return dag.derive(out, flags) if changed else dag
 
 
-def _inst(gate, qubits: Tuple[int, ...]) -> Instruction:
-    return Instruction(gate, qubits)
-
-
 # ----------------------------------------------------------------------
 # 6-CNOT decomposition (Figure 3)
 # ----------------------------------------------------------------------
 def ccz_6cnot(a: int, b: int, c: int) -> List[Instruction]:
     """6-CNOT CCZ; requires CNOTs on all three pairs (a-c, b-c, a-b)."""
     return [
-        _inst(library.cx_gate(), (b, c)),
-        _inst(library.tdg_gate(), (c,)),
-        _inst(library.cx_gate(), (a, c)),
-        _inst(library.t_gate(), (c,)),
-        _inst(library.cx_gate(), (b, c)),
-        _inst(library.tdg_gate(), (c,)),
-        _inst(library.cx_gate(), (a, c)),
-        _inst(library.t_gate(), (b,)),
-        _inst(library.t_gate(), (c,)),
-        _inst(library.cx_gate(), (a, b)),
-        _inst(library.t_gate(), (a,)),
-        _inst(library.tdg_gate(), (b,)),
-        _inst(library.cx_gate(), (a, b)),
+        placed(library.cx_gate(), (b, c)),
+        placed(library.tdg_gate(), (c,)),
+        placed(library.cx_gate(), (a, c)),
+        placed(library.t_gate(), (c,)),
+        placed(library.cx_gate(), (b, c)),
+        placed(library.tdg_gate(), (c,)),
+        placed(library.cx_gate(), (a, c)),
+        placed(library.t_gate(), (b,)),
+        placed(library.t_gate(), (c,)),
+        placed(library.cx_gate(), (a, b)),
+        placed(library.t_gate(), (a,)),
+        placed(library.tdg_gate(), (b,)),
+        placed(library.cx_gate(), (a, b)),
     ]
 
 
 def toffoli_6cnot(control1: int, control2: int, target: int) -> List[Instruction]:
     """The textbook 6-CNOT Toffoli (Figure 3); needs a connectivity triangle."""
     return (
-        [_inst(library.h_gate(), (target,))]
+        [placed(library.h_gate(), (target,))]
         + ccz_6cnot(control1, control2, target)
-        + [_inst(library.h_gate(), (target,))]
+        + [placed(library.h_gate(), (target,))]
     )
 
 
@@ -97,21 +97,21 @@ def ccz_8cnot_line(left: int, middle: int, right: int) -> List[Instruction]:
     """
     a, b, c = left, middle, right
     return [
-        _inst(library.t_gate(), (a,)),
-        _inst(library.t_gate(), (b,)),
-        _inst(library.t_gate(), (c,)),
-        _inst(library.cx_gate(), (b, c)),
-        _inst(library.tdg_gate(), (c,)),
-        _inst(library.cx_gate(), (a, b)),
-        _inst(library.tdg_gate(), (b,)),
-        _inst(library.cx_gate(), (b, c)),
-        _inst(library.tdg_gate(), (c,)),
-        _inst(library.cx_gate(), (a, b)),
-        _inst(library.cx_gate(), (b, c)),
-        _inst(library.t_gate(), (c,)),
-        _inst(library.cx_gate(), (a, b)),
-        _inst(library.cx_gate(), (b, c)),
-        _inst(library.cx_gate(), (a, b)),
+        placed(library.t_gate(), (a,)),
+        placed(library.t_gate(), (b,)),
+        placed(library.t_gate(), (c,)),
+        placed(library.cx_gate(), (b, c)),
+        placed(library.tdg_gate(), (c,)),
+        placed(library.cx_gate(), (a, b)),
+        placed(library.tdg_gate(), (b,)),
+        placed(library.cx_gate(), (b, c)),
+        placed(library.tdg_gate(), (c,)),
+        placed(library.cx_gate(), (a, b)),
+        placed(library.cx_gate(), (b, c)),
+        placed(library.t_gate(), (c,)),
+        placed(library.cx_gate(), (a, b)),
+        placed(library.cx_gate(), (b, c)),
+        placed(library.cx_gate(), (a, b)),
     ]
 
 
@@ -137,9 +137,9 @@ def toffoli_8cnot_line(
     outer = [q for q in qubits if q != middle]
     body = ccz_8cnot_line(outer[0], middle, outer[1])
     return (
-        [_inst(library.h_gate(), (target,))]
+        [placed(library.h_gate(), (target,))]
         + body
-        + [_inst(library.h_gate(), (target,))]
+        + [placed(library.h_gate(), (target,))]
     )
 
 

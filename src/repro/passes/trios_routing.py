@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from ..circuits.circuit import Instruction
+from ..circuits.circuit import Instruction, placed
 from ..exceptions import RoutingError
 from ..hardware.topology import CouplingMap
 from .layout import Layout
@@ -79,12 +79,12 @@ class TriosRouter(GreedySwapRouter):
                 f"{instruction.gate.num_qubits}-qubit {instruction.name!r}"
             )
         swaps = self._gather_trio(out, layout, instruction.qubits)
-        physical = tuple(layout.physical(q) for q in instruction.qubits)
+        physical = tuple(map(layout.physical, instruction.qubits))
         if not self._trio_connected(physical):
             raise RoutingError(
                 f"internal error: trio {physical} still disconnected after routing"
             )
-        out.append(Instruction(instruction.gate, physical, instruction.clbits))
+        out.append(placed(instruction.gate, physical, instruction.clbits))
         return swaps
 
     # ------------------------------------------------------------------

@@ -2,14 +2,22 @@
 
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.circuits import DagCircuit, QuantumCircuit, circuit_layers, from_qasm, to_qasm
-from repro.circuits.circuit import Instruction
-from repro.circuits.library import barrier_op, ccx_gate, cx_gate, h_gate, measure_op
+from repro.bench_circuits.suite import PAPER_BENCHMARKS, get_benchmark
+from repro.circuits import circuit as circuit_module
+from repro.circuits.circuit import PLACED_TABLE_SIZE, Instruction, placed
+from repro.circuits.library import (
+    barrier_op, ccx_gate, cx_gate, h_gate, measure_op, rz_gate, u1_gate, u3_gate,
+)
+from repro.compiler import transpile
 from repro.exceptions import CircuitError
+from repro.hardware.library import PAPER_TOPOLOGIES
 
 
 class TestCircuitConstruction:
@@ -103,6 +111,106 @@ class TestInstruction:
         kept = [inst for inst in circuit.instructions if inst.name != "barrier"]
         assert len(bare.instructions) == len(kept)
         assert all(new is old for new, old in zip(bare.instructions, kept))
+
+
+class TestPlacedTable:
+    def test_equal_inputs_return_the_same_object(self):
+        first = placed(u1_gate(0.25), (3,))
+        assert placed(u1_gate(0.25), (3,)) is first  # an equal, distinct gate object
+        assert first == Instruction(u1_gate(0.25), (3,))
+        assert placed(cx_gate(), (0, 1)) is placed(cx_gate(), (0, 1))
+        assert placed(cx_gate(), (1, 0)) is not placed(cx_gate(), (0, 1))
+        measured = placed(measure_op(), (2,), (5,))
+        assert measured.clbits == (5,) and placed(measure_op(), (2,), (5,)) is measured
+
+    def test_signed_zero_parameters_stay_apart(self):
+        # ``Gate`` equality calls rz(0.0) and rz(-0.0) equal; the table must
+        # not hand one back for the other.
+        positive = placed(rz_gate(0.0), (0,))
+        negative = placed(rz_gate(-0.0), (0,))
+        assert math.copysign(1.0, positive.gate.params[0]) == 1.0
+        assert math.copysign(1.0, negative.gate.params[0]) == -1.0
+        mixed = placed(u3_gate(0.5, -0.0, 0.0), (0,))
+        assert [math.copysign(1.0, p) for p in mixed.gate.params[1:]] == [-1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "gate, qubits, message",
+        [
+            (cx_gate(), (0, 1, 2), "gate 'cx' expects 2 qubits, got 3"),
+            (barrier_op(3), (0, 1), "gate 'barrier' expects 3 qubits, got 2"),
+            (cx_gate(), (4, 4), "duplicate qubits (4, 4)"),
+            (ccx_gate(), (0, 2, 0), "duplicate qubits (0, 2, 0)"),
+        ],
+    )
+    def test_bad_inputs_raise_on_every_call(self, gate, qubits, message):
+        placed(barrier_op(2), (0, 1))  # a valid entry the bad barrier must not match
+        for _ in range(3):
+            with pytest.raises(CircuitError, match=re.escape(message)):
+                placed(gate, qubits)
+
+    def test_numpy_qubits_come_back_as_plain_ints(self):
+        inst = placed(ccx_gate(), (np.int64(7), np.int32(2), np.int64(9)), (np.int64(1),))
+        assert inst.qubits == (7, 2, 9) and inst.clbits == (1,)
+        assert all(type(q) is int for q in inst.qubits + inst.clbits)
+        assert placed(ccx_gate(), (7, 2, 9), (1,)) is inst
+
+    def test_bound_is_the_named_constant(self, monkeypatch):
+        table = {}
+        monkeypatch.setattr(circuit_module, "_PLACED", table)
+        for angle in range(PLACED_TABLE_SIZE + 10):
+            placed(u1_gate(float(angle)), (0,))
+            assert len(table) <= PLACED_TABLE_SIZE
+        assert len(table) == 10  # emptied once, at the bound
+
+    def test_threads_never_overfill_the_table(self, monkeypatch):
+        table = {}
+        monkeypatch.setattr(circuit_module, "_PLACED", table)
+        monkeypatch.setattr(circuit_module, "PLACED_TABLE_SIZE", 64)
+        errors = []
+
+        def worker(offset):
+            for step in range(2000):
+                gate, qubits = u1_gate(float(offset + step % 97)), (step % 5,)
+                if placed(gate, qubits) != Instruction(gate, qubits) or len(table) > 64:
+                    errors.append((offset, step))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k * 1000,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(table) <= 64
+
+    def test_second_fig9_10_sweep_adds_no_misses(self, monkeypatch):
+        table = {}
+        monkeypatch.setattr(circuit_module, "_PLACED", table)
+        cells = [
+            (get_benchmark(name), builder(), method)
+            for builder in PAPER_TOPOLOGIES.values()
+            for name in PAPER_BENCHMARKS
+            for method in ("baseline", "trios")
+        ]
+        assert len(cells) == 88
+
+        def sweep():
+            for circuit, coupling_map, method in cells:
+                transpile(circuit, coupling_map, method=method, seed=11)
+
+        sweep()
+        first = dict(table)
+        # 921 distinct instructions at the time of writing: far inside the
+        # bound, so a sweep never empties the table.
+        assert 0 < len(first) < PLACED_TABLE_SIZE // 2
+        sweep()
+        # A miss would have stored a new object under its key.
+        assert table.keys() == first.keys()
+        assert all(table[key] is entry for key, entry in first.items())
 
 
 class TestCircuitMetrics:

@@ -19,6 +19,7 @@ from repro.experiments import (
     single_case,
     toffoli_test_circuit,
 )
+from repro.experiments.benchmarks import BenchmarkComparison, BenchmarkExperimentResult
 from repro.experiments.report import (
     format_benchmark_normalized,
     format_benchmark_reduction,
@@ -126,6 +127,36 @@ class TestBenchmarkExperiment:
         for formatter in (format_benchmark_success, format_benchmark_reduction,
                           format_benchmark_normalized):
             assert "cnx_dirty-11" in formatter(small_result)
+
+
+def test_reports_render_a_topology_with_no_simulated_rows():
+    # An exact backend that cannot reach any cell of one topology leaves its
+    # column empty (``repro benchmarks --benchmarks grovers-9 cnx_dirty-11
+    # --exact --backend ptm`` on ibmq-johannesburg); the geo-mean over it is
+    # undefined, so it reads "—" with its row count instead of raising.
+    def row(topology, benchmark):
+        return BenchmarkComparison(
+            benchmark=benchmark, topology=topology, baseline_cnots=100, trios_cnots=60,
+            baseline_success=0.2, trios_success=0.4, baseline_depth=50, trios_depth=40,
+        )
+
+    result = BenchmarkExperimentResult(
+        calibration_name="test",
+        comparisons={
+            "ibmq-johannesburg": {},
+            "line-20": {name: row("line-20", name) for name in ("grovers-9", "cnx_dirty-11")},
+        },
+    )
+    success = format_benchmark_success(result)
+    assert success.count("— (0 rows)") == 2
+    assert "0.2000" in success and "0.4000" in success
+    for formatter, value in ((format_benchmark_reduction, "40.0%"),
+                             (format_benchmark_normalized, "2.00x")):
+        text = formatter(result)
+        geomean = [line for line in text.splitlines() if line.startswith("geo-mean")]
+        assert len(geomean) == 1 and "— (0 rows)" in geomean[0] and value in geomean[0]
+        # The empty first column does not hide the other column's rows.
+        assert "grovers-9" in text and "cnx_dirty-11" in text
 
 
 class TestSensitivityExperiment:

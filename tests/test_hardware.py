@@ -2,8 +2,10 @@
 
 import math
 import os
+import pickle
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -98,6 +100,47 @@ class TestPaperTopologies:
     def test_unknown_topology_name(self):
         with pytest.raises(HardwareError):
             by_name("torus-1000")
+
+    @pytest.mark.parametrize("name", sorted(PAPER_TOPOLOGIES))
+    def test_by_name_builds_each_topology_once(self, name):
+        shared = by_name(name)
+        assert by_name(name) is shared
+        fresh = PAPER_TOPOLOGIES[name]()
+        assert fresh is not shared
+        assert (fresh.name, fresh.edges) == (shared.name, shared.edges)
+
+
+class TestSharedMapCaches:
+    def test_weight_tokens_are_distinct_across_threads(self):
+        cmap = line(6)
+        barrier = threading.Barrier(4)
+        tokens = {}
+
+        def worker(index):
+            barrier.wait()
+            for variant in range(50):
+                weight = {(0, 1): float(index * 100 + variant + 1)}
+                tokens[(index, variant)] = cmap._weight_token(weight)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len({id(token) for token in tokens.values()}) == 200
+        # An equal weight map built later gets the same token back.
+        assert cmap._weight_token({(0, 1): 1.0}) is tokens[(0, 0)]
+        assert cmap._weight_token(None) == 0
+
+    def test_pickles_carry_no_caches(self):
+        cmap = grid(4, 5)
+        cold = len(pickle.dumps(cmap))
+        weights = {edge: 1.0 + 0.1 * i for i, edge in enumerate(cmap.edges)}
+        expected = [cmap.shortest_path(0, 19), cmap.shortest_path(0, 19, weights)]
+        cmap.distance_matrix()
+        assert len(pickle.dumps(cmap)) == cold
+        clone = pickle.loads(pickle.dumps(cmap))
+        assert [clone.shortest_path(0, 19), clone.shortest_path(0, 19, weights)] == expected
 
 
 class TestCalibration:

@@ -47,13 +47,13 @@ from repro.experiments.benchmarks import (
     compile_result_size,
 )
 from repro.experiments.toffoli import compile_configuration, toffoli_test_circuit
-from repro.hardware.library import by_name
+from repro.hardware.library import PAPER_TOPOLOGIES, by_name
 from repro.hardware.topology import CouplingMap
 from repro.runtime import Fault, FaultPlan, FailurePolicy
 from repro.runtime.faults import FAULTS_ENV_VAR
 import repro.service.jobs as jobs_module
 import repro.service.service as service_module
-from repro.service.jobs import canonical_qasm
+from repro.service.jobs import CompiledArtifact, canonical_qasm
 from repro.service import (
     CompileJob,
     CompileRequest,
@@ -534,6 +534,33 @@ class TestCompileService:
         assert second.qasm == first.qasm
         digest = circuit_digest(from_qasm(second.qasm))
         assert digest == reference["line-20|cnx_inplace-4|trios"]
+
+    def test_requests_share_one_warm_topology(self):
+        first = make_request(target="ibmq-johannesburg").resolve_coupling_map()
+        second = make_request(seed=3, target="ibmq-johannesburg").resolve_coupling_map()
+        assert first is second
+
+        async def scenario():
+            service = CompileService(pool_jobs=1)
+            await service.start()
+            try:
+                return [
+                    await service.compile(make_request(seed=seed, target="ibmq-johannesburg",
+                                                       method="trios"))
+                    for seed in (11, 12)
+                ]
+            finally:
+                await service.stop()
+
+        served = asyncio.run(scenario())
+        # The bytes served from the shared map are those of a fresh map.
+        for response, seed in zip(served, (11, 12)):
+            job = CompileJob.from_qasm(
+                make_request().qasm, PAPER_TOPOLOGIES["ibmq-johannesburg"](), "trios",
+                seed=seed,
+            )
+            fresh = CompiledArtifact.from_result(jobs_module.execute_compile_job(job))
+            assert response.status == "miss" and response.qasm == fresh.qasm
 
     def test_injected_worker_crash_returns_structured_error(self, monkeypatch):
         # Two *distinct* concurrent requests so the batch reaches pool mode
